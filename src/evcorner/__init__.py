@@ -85,8 +85,5 @@ from .surfaces import (
     BinaryWindowSurface,
     SaeSurface,
     TosSurface,
-    binary_window_read,
-    sae_update,
     tos_default_threshold,
-    tos_update,
 )

@@ -9,7 +9,8 @@ Recognised keys:
     sobel_aperture      Sobel kernel size (odd)
     kappa               Harris k
     threshold_tr        corner decision threshold on the raw response
-    mode                alternating | dual_thread
+    mode                alternating (fresher LUT, a batch waits about one
+                        regeneration) | dual_thread (no wait, older LUT)
     window_us           eharris binary-window duration
     max_angle_deg       fast/arc acceptance angle
     refractory_us, sp_window_us, sp_neighborhood   pre-filter settings

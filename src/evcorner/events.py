@@ -27,11 +27,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import FormatError, GeometryViolation, TimestampRegression
+from .errors import FormatError, GeometryViolation, InvalidParameter, TimestampRegression
 
 CSV_MAGIC = "# evcorner v1 csv"
 TAGS_MAGIC = "# evcorner v1 tags"
 BINARY_MAGIC = b"EVC1"
+
+MAX_SIDE = 65_536  # x and y are stored as uint16
 
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
 
@@ -49,8 +51,11 @@ class SensorGeometry:
     height: int
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"geometry must be at least 1x1, got {self.width}x{self.height}")
+        if not (1 <= self.width <= MAX_SIDE and 1 <= self.height <= MAX_SIDE):
+            raise InvalidParameter(
+                f"geometry must be between 1x1 and {MAX_SIDE}x{MAX_SIDE}, "
+                f"got {self.width}x{self.height}"
+            )
 
     def contains(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -269,6 +274,8 @@ def _read_csv(path, ts_unit: str) -> EventStream:
                 p = int(fields[3])
             except ValueError:
                 raise FormatError(f"non-numeric field in {line!r}", line=lineno) from None
+            except OverflowError:
+                raise FormatError(f"timestamp out of range in {line!r}", line=lineno) from None
             if p not in (0, 1):
                 raise FormatError(f"polarity must be 0 or 1, got {p}", line=lineno)
             if t < 0:
@@ -278,13 +285,12 @@ def _read_csv(path, ts_unit: str) -> EventStream:
             ys.append(y)
             ps.append(p)
     geometry = SensorGeometry(w, h)
-    return EventStream.from_arrays(
-        geometry,
-        np.array(ts, dtype=np.uint64),
-        np.array(xs, dtype=np.int64),
-        np.array(ys, dtype=np.int64),
-        np.array(ps, dtype=np.uint8),
-    )
+    try:
+        t, x, y = (np.array(ts, dtype=np.uint64), np.array(xs, dtype=np.int64),
+                   np.array(ys, dtype=np.int64))
+    except OverflowError:
+        raise FormatError("a timestamp or coordinate exceeds 64 bits") from None
+    return EventStream.from_arrays(geometry, t, x, y, np.array(ps, dtype=np.uint8))
 
 
 def _read_binary(path) -> EventStream:

@@ -2,12 +2,15 @@
 coupled with as-fast-as-possible regeneration of a full-frame Harris
 look-up table.
 
-Phase 1 (per event): decrement-and-fire the TOS, then tag the event by a
-single LUT read. Phase 2 (per batch / continuously): recompute the LUT from
-a consistent TOS snapshot. In ``alternating`` mode the two phases take
-turns on one thread, each pass consuming the whole pending batch. In
-``dual_thread`` mode the caller's thread runs phase 1 continuously while a
-worker loops phase 2, publishing LUTs by atomic whole-object swap.
+Phase 1 (per event, applied a batch at a time): decrement-and-fire the TOS
+for each event (``TosSurface.update_many``), then tag each event by a single
+LUT read. Phase 2 (per batch / continuously): recompute the LUT from a
+consistent TOS snapshot. In ``alternating`` mode the two phases take turns
+on one thread, each pass consuming the whole pending batch, so a batch is
+tagged against a fresh LUT but waits about one regeneration. In
+``dual_thread`` mode the caller's thread runs phase 1 on each chunk while a
+worker loops phase 2, publishing LUTs by atomic whole-object swap, so a
+chunk is tagged without waiting but against an older LUT.
 
 The LUT a batch is classified against was generated from an earlier TOS
 state; staleness grows with batch size and only degrades accuracy, never
@@ -89,16 +92,24 @@ def classify_event(event: Event, lut: HarrisLut, threshold_tr: float) -> CornerT
 
 
 def regenerate_lut(
-    tos_snapshot,
+    grid: np.ndarray,
     params: HarrisParams,
     latest_event_t: int,
     previous: HarrisLut | None = None,
 ) -> HarrisLut:
-    """Recompute the full-frame LUT from a consistent TOS snapshot."""
-    grid = tos_snapshot.grid if isinstance(tos_snapshot, TosSurface) else tos_snapshot
+    """Recompute the full-frame LUT from a consistent TOS grid snapshot."""
     scores = harris_response_map(grid, params)
     index = previous.generation_index + 1 if previous is not None else 1
     return HarrisLut(scores, int(latest_event_t), index)
+
+
+def _read_lut(lut: HarrisLut, chunk: EventStream, threshold_tr: float,
+              stats: PipelineStats) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-1 read: score every event of ``chunk`` from one LUT generation
+    and record each event's time gap to it."""
+    score = lut.scores[chunk.y, chunk.x]
+    stats.record_t_err(np.abs(chunk.t.astype(np.int64) - lut.generated_at))
+    return score > threshold_tr, score
 
 
 def _empty_lut(geometry: SensorGeometry) -> HarrisLut:
@@ -150,47 +161,25 @@ class LuvHarrisDetector:
         return self._run_batches(chunk, self.force_batch_size, fresh_classify=True)
 
     def _run_batches(self, chunk: EventStream, batch: int, fresh_classify: bool) -> Tags:
-        thr = self.config.threshold_tr
-        params = self.config.harris
-        n = len(chunk)
-        is_corner = np.empty(n, dtype=bool)
-        score = np.empty(n, dtype=np.float64)
-        for i0 in range(0, n, batch):
-            i1 = min(i0 + batch, n)
+        parts = []
+        for part in chunk.chunks(batch):
             t0 = time.perf_counter()
-            xs = chunk.x[i0:i1].tolist()
-            ys = chunk.y[i0:i1].tolist()
-            self.tos.update_many(xs, ys)
-            if not fresh_classify:
-                # stream-faithful order: tag against the LUT that existed
-                # while this batch was consumed, then refresh it
-                s = self.lut.scores[chunk.y[i0:i1], chunk.x[i0:i1]]
-                score[i0:i1] = s
-                is_corner[i0:i1] = s > thr
-                self.phase1_seconds += time.perf_counter() - t0
-                self._record_gaps(chunk.t[i0:i1])
-                t0 = time.perf_counter()
-                self.lut = regenerate_lut(self.tos.grid, params, int(chunk.t[i1 - 1]), self.lut)
-                self.phase2_seconds += time.perf_counter() - t0
-            else:
-                self.phase1_seconds += time.perf_counter() - t0
-                t0 = time.perf_counter()
-                self.lut = regenerate_lut(self.tos.grid, params, int(chunk.t[i1 - 1]), self.lut)
-                self.phase2_seconds += time.perf_counter() - t0
-                t0 = time.perf_counter()
-                s = self.lut.scores[chunk.y[i0:i1], chunk.x[i0:i1]]
-                score[i0:i1] = s
-                is_corner[i0:i1] = s > thr
-                self.phase1_seconds += time.perf_counter() - t0
-                self._record_gaps(chunk.t[i0:i1])
+            self.tos.update_many(part.x, part.y)
+            t1 = time.perf_counter()
+            before = self.lut
+            self.lut = regenerate_lut(self.tos.grid, self.config.harris, int(part.t[-1]), before)
+            t2 = time.perf_counter()
+            # stream-faithful: tag against the LUT that existed while this
+            # batch was consumed; fresh: against the one regenerated after it
+            parts.append(_read_lut(self.lut if fresh_classify else before, part,
+                                   self.config.threshold_tr, self.stats))
+            self.phase1_seconds += t1 - t0 + time.perf_counter() - t2
+            self.phase2_seconds += t2 - t1
             self.stats.lut_generations += 1
-            self.stats.max_batch_size = max(self.stats.max_batch_size, i1 - i0)
-        self.stats.events_processed += n
-        return Tags.for_stream(chunk, is_corner, score)
-
-    def _record_gaps(self, ts: np.ndarray) -> None:
-        gaps = np.abs(ts.astype(np.int64) - int(self.lut.generated_at))
-        self.stats.record_t_err(gaps)
+            self.stats.max_batch_size = max(self.stats.max_batch_size, len(part))
+        self.stats.events_processed += len(chunk)
+        is_corner, score = zip(*parts)
+        return Tags.for_stream(chunk, np.concatenate(is_corner), np.concatenate(score))
 
     def instrument_counters(self) -> dict:
         return {
@@ -204,15 +193,16 @@ class LuvHarrisDetector:
 class _DualThreadPipeline:
     """One event thread (the caller) plus one LUT worker thread.
 
-    The worker snapshots the TOS under a short lock (held by the event
-    thread around each whole-event update, so snapshots always land between
-    events), regenerates outside the lock, and publishes by rebinding
-    ``self.lut`` — an atomic reference swap, so readers always see exactly
-    one complete generation.
+    The caller applies each ``process`` chunk to the TOS under a short lock,
+    so the worker's snapshots always land between whole events (and between
+    chunks), then tags the chunk by one read of the published LUT. The
+    worker copies the TOS under the lock, regenerates outside it, and
+    publishes by rebinding ``self.lut`` — an atomic reference swap, so
+    readers always see exactly one complete generation. A worker failure is
+    re-raised in the caller by the next ``process`` call or by ``stop``.
     """
 
-    def __init__(self, geometry: SensorGeometry, config: LuvHarrisConfig,
-                 keep_snapshot_log: bool = False):
+    def __init__(self, geometry: SensorGeometry, config: LuvHarrisConfig):
         self.geometry = geometry
         self.config = config
         self.tos = TosSurface(geometry, config.k_tos, config.effective_t_tos())
@@ -220,11 +210,11 @@ class _DualThreadPipeline:
         self.lock = threading.Lock()
         self.stats = PipelineStats()
         self.last_event_t = 0
-        self.keep_snapshot_log = keep_snapshot_log
-        self.snapshot_log: list[tuple[int, int, np.ndarray]] = []
         self._stop = threading.Event()
         self._worker = threading.Thread(target=self._regen_loop, daemon=True)
-        self._batch_since_swap = 0
+        self._error: Exception | None = None
+        self._seen_gen = 0
+        self._since_swap = 0
 
     def start(self) -> None:
         self._worker.start()
@@ -232,54 +222,40 @@ class _DualThreadPipeline:
     def stop(self) -> None:
         self._stop.set()
         self._worker.join()
+        self._reraise()
+
+    def _reraise(self) -> None:
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
 
     def _regen_loop(self) -> None:
-        params = self.config.harris
-        while not self._stop.is_set():
-            with self.lock:
-                raw = self.tos.raw.copy()
-                applied = self.tos.events_applied
-                latest = self.last_event_t
-            snap = self.tos.snap(raw)  # snap outside the lock; pure function
-            scores = harris_response_map(snap, params)
-            self.lut = HarrisLut(scores, latest, self.lut.generation_index + 1)
-            self.stats.lut_generations += 1
-            if self.keep_snapshot_log:
-                self.snapshot_log.append((self.lut.generation_index, applied, snap))
+        try:
+            while not self._stop.is_set():
+                with self.lock:
+                    raw = self.tos.raw.copy()
+                    latest = self.last_event_t
+                # snap outside the lock; pure function
+                self.lut = regenerate_lut(self.tos.snap(raw), self.config.harris, latest, self.lut)
+                self.stats.lut_generations += 1
+        except Exception as e:
+            self._error = e
 
     def process(self, chunk: EventStream) -> Tags:
-        n = len(chunk)
-        is_corner = np.empty(n, dtype=bool)
-        score = np.empty(n, dtype=np.float64)
-        gaps = np.empty(n, dtype=np.int64)
-        thr = self.config.threshold_tr
-        tos = self.tos
-        lock = self.lock
-        xs = chunk.x.tolist()
-        ys = chunk.y.tolist()
-        ts = chunk.t.tolist()
-        seen_gen = self.lut.generation_index
-        since = self._batch_since_swap
-        for i in range(n):
-            x = xs[i]
-            y = ys[i]
-            with lock:
-                tos._update_one(x, y)
-                self.last_event_t = ts[i]
-            lut = self.lut  # one generation per event, swapped atomically
-            s = float(lut.scores[y, x])
-            score[i] = s
-            is_corner[i] = s > thr
-            gaps[i] = ts[i] - lut.generated_at
-            if lut.generation_index != seen_gen:
-                if since > self.stats.max_batch_size:
-                    self.stats.max_batch_size = since
-                seen_gen = lut.generation_index
-                since = 0
-            since += 1
-        self._batch_since_swap = since
-        self.stats.record_t_err(np.maximum(gaps, 0))
-        self.stats.events_processed += n
+        self._reraise()
+        if len(chunk) == 0:
+            return Tags.for_stream(chunk, np.zeros(0, bool), np.zeros(0))
+        with self.lock:
+            self.tos.update_many(chunk.x, chunk.y)
+            self.last_event_t = int(chunk.t[-1])
+        lut = self.lut  # one generation for the whole chunk, swapped atomically
+        is_corner, score = _read_lut(lut, chunk, self.config.threshold_tr, self.stats)
+        if lut.generation_index != self._seen_gen:
+            self._seen_gen = lut.generation_index
+            self._since_swap = 0
+        self._since_swap += len(chunk)
+        self.stats.max_batch_size = max(self.stats.max_batch_size, self._since_swap)
+        self.stats.events_processed += len(chunk)
         return Tags.for_stream(chunk, is_corner, score)
 
 

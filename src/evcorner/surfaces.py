@@ -12,9 +12,10 @@ Three surfaces cover the detectors in this package:
 * :class:`BinaryWindowSurface` — sliding-window binary occupancy used by the
   event-wise Harris baseline.
 
-Surfaces are single-writer. A reader on another thread must take
-:meth:`TosSurface.snapshot` between whole-event updates (the pipeline module
-owns that exclusion).
+Surfaces are single-writer. A reader on another thread must copy
+:attr:`TosSurface.raw` (or read :attr:`TosSurface.grid`) between calls to
+:meth:`TosSurface.update_many`, the one method that mutates the surface (the
+pipeline module owns that exclusion).
 """
 
 from __future__ import annotations
@@ -43,9 +44,19 @@ class TosSurface:
     update to a decrement and a store; the observable surface is identical
     to snapping after every event.
 
+    Once below the threshold a cell reads 0 until it fires again, so
+    ``update_many`` floors the whole raw array at ``t_tos - 1`` once at
+    least ``FLOOR_INTERVAL`` events have been applied since the last floor.
+    The observable surface does not change, and a never-fired cell next to
+    a hot pixel drifts at most ``FLOOR_INTERVAL`` plus one call's events
+    below ``t_tos``, far from the int32 wrap. Flooring only every so often
+    keeps a small call's cost independent of the sensor size.
+
     ``cells_touched`` accumulates the clipped update-window area, which
     bounds per-event work at (2k+1)^2 independent of image size.
     """
+
+    FLOOR_INTERVAL = 1 << 16
 
     def __init__(self, geometry: SensorGeometry, k_tos: int = 3, t_tos: int | None = None):
         if k_tos < 1:
@@ -57,10 +68,10 @@ class TosSurface:
         self.geometry = geometry
         self.k_tos = int(k_tos)
         self.t_tos = int(t_tos)
-        # int32: raw values drift negative in never-fired regions
         self.raw = np.zeros((geometry.height, geometry.width), dtype=np.int32)
         self.cells_touched = 0
         self.events_applied = 0
+        self._unfloored = 0  # events applied since raw was last floored
 
     @property
     def grid(self) -> np.ndarray:
@@ -73,32 +84,13 @@ class TosSurface:
     def update(self, event: Event) -> None:
         if not self.geometry.contains(event.x, event.y):
             raise GeometryViolation(f"({event.x},{event.y}) outside surface")
-        self._update_one(int(event.x), int(event.y))
-
-    def _update_one(self, x: int, y: int) -> None:
-        k = self.k_tos
-        h = self.geometry.height
-        w = self.geometry.width
-        y0 = y - k
-        if y0 < 0:
-            y0 = 0
-        y1 = y + k + 1
-        if y1 > h:
-            y1 = h
-        x0 = x - k
-        if x0 < 0:
-            x0 = 0
-        x1 = x + k + 1
-        if x1 > w:
-            x1 = w
-        r = self.raw[y0:y1, x0:x1]
-        r -= 1
-        self.raw[y, x] = 255
-        self.cells_touched += (y1 - y0) * (x1 - x0)
-        self.events_applied += 1
+        self.update_many([event.x], [event.y])
 
     def update_many(self, xs, ys) -> None:
-        """Apply pre-validated events in order (column arrays or int lists)."""
+        """Apply pre-validated events in order (column arrays or int lists).
+
+        The only method that mutates the surface.
+        """
         xa = np.asarray(xs, dtype=np.int64)
         ya = np.asarray(ys, dtype=np.int64)
         k = self.k_tos
@@ -115,18 +107,15 @@ class TosSurface:
             r -= 1
             raw[y, x] = 255
             touched += (y1 - y0) * (x1 - x0)
+        self._unfloored += len(x0s)
+        if self._unfloored >= self.FLOOR_INTERVAL:
+            np.maximum(raw, self.t_tos - 1, out=raw)
+            self._unfloored = 0
         self.cells_touched += touched
         self.events_applied += len(x0s)
 
-    def snapshot(self) -> np.ndarray:
-        return self.snap(self.raw)
-
     def to_u8(self) -> np.ndarray:
         return self.snap(self.raw).astype(np.uint8)
-
-
-def tos_update(surface: TosSurface, event: Event) -> None:
-    surface.update(event)
 
 
 class SaeSurface:
@@ -144,10 +133,6 @@ class SaeSurface:
         if not self.geometry.contains(event.x, event.y):
             raise GeometryViolation(f"({event.x},{event.y}) outside surface")
         self.grid[event.y, event.x] = event.t
-
-
-def sae_update(surface: SaeSurface, event: Event) -> None:
-    surface.update(event)
 
 
 class BinaryWindowSurface:
@@ -175,7 +160,3 @@ class BinaryWindowSurface:
     def to_u8(self, now: int) -> np.ndarray:
         live = (self.last_fire >= 0) & ((now - self.last_fire) <= self.window_us)
         return live.astype(np.uint8) * 255
-
-
-def binary_window_read(surface: BinaryWindowSurface, x: int, y: int, now: int) -> bool:
-    return surface.read(x, y, now)

@@ -186,7 +186,7 @@ class IdealHarrisOracle:
         for i in range(len(stream)):
             x = int(stream.x[i])
             y = int(stream.y[i])
-            self.tos._update_one(x, y)
+            self.tos.update_many([x], [y])
             r = self.evaluator.response(self.tos.grid, x, y)
             score[i] = r
             is_corner[i] = r > self.threshold

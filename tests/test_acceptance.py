@@ -130,7 +130,7 @@ def test_criterion_3_tos_properties():
     for _ in range(300):
         x = int(rng.integers(0, 32))
         y = int(rng.integers(0, 32))
-        surf._update_one(x, y)
+        surf.update_many([x], [y])
         naive_tos_apply(ref, x, y, 3, 12)
     naive_ok = np.array_equal(surf.grid, np.array(ref))
 

@@ -116,3 +116,31 @@ def test_cli_reports_errors(tmp_path, capsys):
     rc = main(["detect", "--in", str(bad), "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,extra", [
+    ("# evcorner v1 csv 70000 8\n1,65536,0,1\n", []),  # x would wrap to 0 in uint16
+    ("# evcorner v1 csv 0 0\n", []),
+    ("# evcorner v1 csv 8 8\ninf,1,1,1\n", ["--ts-unit", "s"]),
+    ("# evcorner v1 csv 8 8\n1,99999999999999999999,0,1\n", []),
+], ids=["width-over-uint16", "zero-geometry", "inf-seconds", "x-over-int64"])
+def test_cli_rejects_bad_input_with_typed_error(tmp_path, capsys, text, extra):
+    src = tmp_path / "bad.csv"
+    src.write_text(text)
+    out = tmp_path / "o.csv"
+    rc = main(["convert", "--in", str(src), "--out", str(out), *extra])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_dual_thread_worker_failure_is_reported(tmp_path, capsys):
+    # 4x4 is smaller than the Sobel aperture, so LUT regeneration fails
+    src = _write_events(tmp_path, random_stream(SensorGeometry(4, 4), 2000, seed=1))
+    conf = tmp_path / "dual.conf"
+    conf.write_text("mode = dual_thread\n")
+    out = tmp_path / "tags.csv"
+    rc = main(["detect", "--in", str(src), "--config", str(conf), "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

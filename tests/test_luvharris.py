@@ -1,3 +1,6 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -7,11 +10,13 @@ from evcorner import (
     GeometryViolation,
     HarrisLut,
     HarrisParams,
+    ImageTooSmall,
     LuvHarrisConfig,
     LuvHarrisDetector,
     SensorGeometry,
     TosSurface,
     classify_event,
+    harris_response_map,
     regenerate_lut,
     run_pipeline,
 )
@@ -147,28 +152,61 @@ def test_phase1_work_bound_per_event():
     assert d1.tos.cells_touched <= bound
 
 
-def test_dual_thread_snapshots_are_event_consistent():
+def test_dual_thread_luts_are_event_consistent():
+    # strictly increasing t: a LUT's generated_at names the stream prefix
+    # its snapshot was taken after, which must end on a chunk boundary
     g = SensorGeometry(24, 24)
     cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
-    stream = random_stream(g, 4000, seed=13)
-    pipe = _DualThreadPipeline(g, cfg, keep_snapshot_log=True)
+    n, chunk = 4000, 512
+    rnd = random_stream(g, n, seed=13)
+    stream = EventStream.from_arrays(g, np.arange(1, n + 1), rnd.x, rnd.y, rnd.p)
+    pipe = _DualThreadPipeline(g, cfg)
+    seen = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two threads finely
     pipe.start()
     try:
-        for chunk in stream.chunks(512):
-            pipe.process(chunk)
+        for part in stream.chunks(chunk):
+            pipe.process(part)
+            seen[pipe.lut.generation_index] = pipe.lut
+            # let the worker catch up, so every chunk end is checked
+            deadline = time.monotonic() + 10
+            while pipe.lut.generated_at != part.t[-1] and time.monotonic() < deadline:
+                time.sleep(0.001)
+            seen[pipe.lut.generation_index] = pipe.lut
     finally:
         pipe.stop()
-    assert pipe.snapshot_log, "worker never published a LUT"
+        sys.setswitchinterval(interval)
+    seen.pop(0, None)  # the cold-start LUT was never generated
+    assert {lut.generated_at for lut in seen.values()} >= set(range(chunk, n, chunk)) | {n}
     k, t_tos = cfg.k_tos, cfg.effective_t_tos()
-    xs = stream.x.tolist()
-    ys = stream.y.tolist()
-    for gen_idx, applied, snap in pipe.snapshot_log:
-        ref = naive_tos_new(24, 24)
-        for i in range(applied):
-            naive_tos_apply(ref, xs[i], ys[i], k, t_tos)
-        assert np.array_equal(snap, np.array(ref)), (
-            f"generation {gen_idx}: snapshot at {applied} events is torn"
+    ref = naive_tos_new(24, 24)
+    applied = 0
+    for lut in sorted(seen.values(), key=lambda lut: lut.generated_at):
+        prefix = int(lut.generated_at)
+        assert prefix % chunk == 0 or prefix == n, f"prefix {prefix} splits a chunk"
+        for i in range(applied, prefix):
+            naive_tos_apply(ref, int(stream.x[i]), int(stream.y[i]), k, t_tos)
+        applied = prefix
+        assert np.array_equal(lut.scores, harris_response_map(np.array(ref), cfg.harris)), (
+            f"generation {lut.generation_index}: LUT after {prefix} events is torn"
         )
+
+
+def test_dual_thread_reraises_worker_failure():
+    # 4x4 is smaller than the Sobel aperture: the worker's first
+    # regeneration fails, and the caller must see it
+    g = SensorGeometry(4, 4)
+    stream = random_stream(g, 2000, seed=1)
+    with pytest.raises(ImageTooSmall):
+        run_pipeline(stream, LuvHarrisConfig(mode="dual_thread"))
+    pipe = _DualThreadPipeline(g, LuvHarrisConfig(mode="dual_thread"))
+    pipe.start()
+    pipe._worker.join(timeout=10)
+    assert not pipe._worker.is_alive()  # the worker has died
+    with pytest.raises(ImageTooSmall):
+        pipe.process(stream)
+    pipe.stop()  # the error was delivered once
 
 
 def test_dual_thread_publishes_many_generations():

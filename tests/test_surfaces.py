@@ -9,10 +9,7 @@ from evcorner import (
     SaeSurface,
     SensorGeometry,
     TosSurface,
-    binary_window_read,
-    sae_update,
     tos_default_threshold,
-    tos_update,
 )
 from evcorner.synth import edge_sweep_stream
 
@@ -29,7 +26,7 @@ def test_default_threshold_values():
 
 def test_tos_blank_fire_leaves_neighbors_zero():
     surf = TosSurface(SensorGeometry(32, 32), k_tos=3)
-    tos_update(surf, Event(100, 10, 10, True))
+    surf.update(Event(100, 10, 10, True))
     g = surf.grid
     assert g[10, 10] == 255
     g[10, 10] = 0
@@ -38,8 +35,8 @@ def test_tos_blank_fire_leaves_neighbors_zero():
 
 def test_tos_single_decrement_above_threshold():
     surf = TosSurface(SensorGeometry(32, 32), k_tos=3)  # t_tos = 12
-    tos_update(surf, Event(1, 9, 10, True))
-    tos_update(surf, Event(2, 10, 10, True))
+    surf.update(Event(1, 9, 10, True))
+    surf.update(Event(2, 10, 10, True))
     g = surf.grid
     assert g[10, 9] == 254  # decremented once, still >= 12
     assert g[10, 10] == 255
@@ -53,7 +50,7 @@ def test_tos_matches_naive_full_grid_reference():
     for _ in range(300):
         x = int(rng.integers(0, 32))
         y = int(rng.integers(0, 32))
-        surf._update_one(x, y)
+        surf.update_many([x], [y])
         naive_tos_apply(ref, x, y, k, t_tos)
     assert np.array_equal(surf.grid, np.array(ref))
 
@@ -69,6 +66,37 @@ def test_tos_range_invariant_fuzz(k, t_tos):
     assert g.min() >= 0 and g.max() <= 255
     bad = (g > 0) & (g < t_tos)
     assert not bad.any()
+
+
+@pytest.mark.parametrize("k,t_tos", [(1, 4), (3, 12), (3, 0)])
+def test_tos_raw_floor_bounds_drift(k, t_tos):
+    # a never-fired cell next to a hot pixel loses one per event; without a
+    # floor it drifts until the int32 wraps and reads as a valid value
+    rng = np.random.default_rng(k + t_tos)
+    surf = TosSurface(SensorGeometry(16, 16), k, t_tos)
+    surf.update_many(rng.integers(0, 16, 3000), rng.integers(0, 16, 3000))
+    hot = np.full(TosSurface.FLOOR_INTERVAL, 8)
+    surf.update_many(hot, hot)
+    assert surf.raw.min() >= t_tos - 1
+    g = surf.grid
+    assert g[8, 8] == 255
+    assert not ((g > 0) & (g < t_tos)).any()
+
+
+def test_tos_floor_leaves_surface_unchanged():
+    rng = np.random.default_rng(3)
+    k, t_tos, interval = 3, 12, 5
+    surf = TosSurface(SensorGeometry(20, 16), k, t_tos)
+    surf.FLOOR_INTERVAL = interval
+    ref = naive_tos_new(20, 16)
+    for _ in range(300):
+        x = int(rng.integers(0, 20))
+        y = int(rng.integers(0, 16))
+        surf.update_many([x], [y])
+        naive_tos_apply(ref, x, y, k, t_tos)
+        # raw starts at 0; each floor lifts it to t_tos - 1
+        assert surf.raw.min() >= min(0, t_tos - 1) - interval
+    assert np.array_equal(surf.grid, np.array(ref))
 
 
 def test_tos_speed_independence():
@@ -103,12 +131,12 @@ def test_tos_edge_two_pixels_thick():
 
 def test_tos_border_safety():
     surf = TosSurface(SensorGeometry(16, 12), k_tos=3)
-    surf._update_one(0, 0)
-    surf._update_one(15, 11)
+    surf.update_many([0], [0])
+    surf.update_many([15], [11])
     g = surf.grid
     assert g[0, 0] == 255 and g[11, 15] == 255
     with pytest.raises(GeometryViolation):
-        tos_update(surf, Event(1, 16, 0, True))
+        surf.update(Event(1, 16, 0, True))
 
 
 def test_tos_rejects_bad_params():
@@ -122,12 +150,12 @@ def test_tos_rejects_bad_params():
 def test_sae_updates():
     g = SensorGeometry(8, 8)
     s = SaeSurface(g)
-    sae_update(s, Event(500, 1, 1, True))
+    s.update(Event(500, 1, 1, True))
     assert s.grid[1, 1] == 500
-    sae_update(s, Event(900, 1, 1, False))
+    s.update(Event(900, 1, 1, False))
     assert s.grid[1, 1] == 900
     with pytest.raises(GeometryViolation):
-        sae_update(s, Event(1, 8, 1, True))
+        s.update(Event(1, 8, 1, True))
 
 
 def test_sae_equals_per_pixel_max_over_stream():
@@ -139,7 +167,7 @@ def test_sae_equals_per_pixel_max_over_stream():
     for _ in range(500):
         x = int(rng.integers(0, 10))
         y = int(rng.integers(0, 10))
-        sae_update(s, Event(t, x, y, True))
+        s.update(Event(t, x, y, True))
         ref[y, x] = max(ref[y, x], t)
         t += int(rng.integers(0, 3))
     assert np.array_equal(s.grid, ref)
@@ -149,12 +177,12 @@ def test_binary_window_read():
     g = SensorGeometry(8, 8)
     s = BinaryWindowSurface(g, window_us=10_000)
     s.update(Event(1000, 2, 3, True))
-    assert binary_window_read(s, 2, 3, 5000) is True
-    assert binary_window_read(s, 2, 3, 11000) is True  # boundary: exactly window
-    assert binary_window_read(s, 2, 3, 11001) is False
-    assert binary_window_read(s, 4, 4, 0) is False  # never fired
+    assert s.read(2, 3, 5000) is True
+    assert s.read(2, 3, 11000) is True  # boundary: exactly window
+    assert s.read(2, 3, 11001) is False
+    assert s.read(4, 4, 0) is False  # never fired
     with pytest.raises(GeometryViolation):
-        binary_window_read(s, 8, 0, 0)
+        s.read(8, 0, 0)
 
 
 def test_per_event_work_independent_of_image_size():
