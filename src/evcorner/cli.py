@@ -92,7 +92,7 @@ def cmd_render(args) -> int:
     if args.mode == "tos":
         stream = _load(args.infile, ts_unit=args.ts_unit)
         surface = TosSurface(stream.geometry, k_tos=args.k_tos)
-        surface.update_many(stream.x.tolist(), stream.y.tolist())
+        surface.update_many(stream.x, stream.y)
         render_tos(surface, args.out)
         print(f"TOS image -> {args.out}")
     else:

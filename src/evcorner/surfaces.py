@@ -40,12 +40,24 @@ class TosSurface:
     minus one per covering event since. Between fires a cell only ever
     decreases, so the threshold snap is a pure function of the raw value
     (a cell below the threshold would have snapped to 0 and stayed there),
-    and is applied lazily when the surface is read. That keeps the per-event
-    update to a decrement and a store; the observable surface is identical
-    to snapping after every event.
+    and is applied lazily when the surface is read; the observable surface
+    is identical to snapping after every event.
 
-    Once below the threshold a cell reads 0 until it fires again, so
-    ``update_many`` floors the whole raw array at ``t_tos - 1`` once at
+    ``update_many`` applies a run of events at once through the closed form
+    of that per-event rule. For each cell::
+
+        raw = (255 if the cell fired in the run, else its prior raw)
+              - (number of covering events after the cell's last fire)
+
+    It is computed in numpy over the run's (2k+1)^2 windows, visited in
+    pixel order, so the work is O(n * (2k+1)^2) with no full-frame pass.
+    ``raw`` is the interior view of a buffer with a k-cell margin, so a
+    border pixel's window needs no clipping; margin cells take decrements
+    but are never read. Long calls are applied ``SLICE`` events at a time,
+    which bounds the temporaries at O(SLICE * (2k+1)^2).
+
+    Once below the threshold a cell reads 0 until it fires again, so the
+    whole buffer, margin included, is floored at ``t_tos - 1`` once at
     least ``FLOOR_INTERVAL`` events have been applied since the last floor.
     The observable surface does not change, and a never-fired cell next to
     a hot pixel drifts at most ``FLOOR_INTERVAL`` plus one call's events
@@ -57,6 +69,7 @@ class TosSurface:
     """
 
     FLOOR_INTERVAL = 1 << 16
+    SLICE = 1 << 12  # below 2**16: _apply packs the event index in 16 bits
 
     def __init__(self, geometry: SensorGeometry, k_tos: int = 3, t_tos: int | None = None):
         if k_tos < 1:
@@ -66,12 +79,17 @@ class TosSurface:
         if not 0 <= t_tos <= 255:
             raise InvalidParameter(f"t_tos must be in [0, 255], got {t_tos}")
         self.geometry = geometry
-        self.k_tos = int(k_tos)
+        self.k_tos = k = int(k_tos)
         self.t_tos = int(t_tos)
-        self.raw = np.zeros((geometry.height, geometry.width), dtype=np.int32)
+        rows = geometry.height + 2 * k
+        self._row = cols = geometry.width + 2 * k
+        self._flat = np.zeros(rows * cols, dtype=np.int32)
+        self.raw = self._flat.reshape(rows, cols)[k:-k, k:-k]
+        d = np.arange(-k, k + 1)
+        self._window = (d[:, None] * cols + d[None, :]).ravel()
         self.cells_touched = 0
         self.events_applied = 0
-        self._unfloored = 0  # events applied since raw was last floored
+        self._unfloored = 0  # events applied since the buffer was last floored
 
     @property
     def grid(self) -> np.ndarray:
@@ -93,26 +111,38 @@ class TosSurface:
         """
         xa = np.asarray(xs, dtype=np.int64)
         ya = np.asarray(ys, dtype=np.int64)
-        k = self.k_tos
-        h = self.geometry.height
-        w = self.geometry.width
-        x0s = np.maximum(xa - k, 0).tolist()
-        x1s = np.minimum(xa + k + 1, w).tolist()
-        y0s = np.maximum(ya - k, 0).tolist()
-        y1s = np.minimum(ya + k + 1, h).tolist()
-        raw = self.raw
-        touched = 0
-        for x, y, x0, x1, y0, y1 in zip(xa.tolist(), ya.tolist(), x0s, x1s, y0s, y1s):
-            r = raw[y0:y1, x0:x1]
-            r -= 1
-            raw[y, x] = 255
-            touched += (y1 - y0) * (x1 - x0)
-        self._unfloored += len(x0s)
+        for s in range(0, len(xa), self.SLICE):
+            self._apply(xa[s : s + self.SLICE], ya[s : s + self.SLICE])
+        self._unfloored += len(xa)
         if self._unfloored >= self.FLOOR_INTERVAL:
-            np.maximum(raw, self.t_tos - 1, out=raw)
+            np.maximum(self._flat, self.t_tos - 1, out=self._flat)
             self._unfloored = 0
-        self.cells_touched += touched
-        self.events_applied += len(x0s)
+
+    def _apply(self, xa: np.ndarray, ya: np.ndarray) -> None:
+        k = self.k_tos
+        n = len(xa)
+        w = self.geometry.width
+        h = self.geometry.height
+        flat = self._flat
+        pix = (ya + k) * self._row + (xa + k)
+        # a fired pixel briefly holds 256 + (1 + index of its last fire in
+        # the slice), above any raw value; np.maximum.at is order-defined
+        order = np.arange(256, 257 + n, dtype=np.int32)
+        np.maximum.at(flat, pix, order[1:])
+        # visit the windows in pixel order (one sort of pixel<<16 | event
+        # index), so the gather and the scatter below sweep the buffer in
+        # address order; that keeps their cost from growing with the frame
+        key = np.sort((pix << 16) | np.arange(n))
+        cells = (key >> 16)[:, None] + self._window
+        # event j decrements cell c unless c's last fire in the slice is at
+        # or after j (a fire overwrites the decrements before it)
+        counted = flat[cells] <= order[key & 0xFFFF, None]
+        flat[pix] = 255
+        np.subtract.at(flat, cells[counted], np.int32(1))
+        wx = np.minimum(xa + k + 1, w) - np.maximum(xa - k, 0)
+        wy = np.minimum(ya + k + 1, h) - np.maximum(ya - k, 0)
+        self.cells_touched += int(wx @ wy)
+        self.events_applied += n
 
     def to_u8(self) -> np.ndarray:
         return self.snap(self.raw).astype(np.uint8)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from evcorner import PatchEvaluator, SensorGeometry, TosSurface
+from evcorner import PatchEvaluator, SensorGeometry
 
 # --- threshold-ordinal surface: full-grid rewalk per event ----------------
 
@@ -19,9 +19,11 @@ def naive_tos_new(width: int, height: int):
     return [[0] * width for _ in range(height)]
 
 
-def naive_tos_apply(rows, x: int, y: int, k: int, t_tos: int) -> None:
+def naive_tos_apply(rows, x: int, y: int, k: int, t_tos: int) -> int:
+    """Apply one event; returns the number of cells it decremented."""
     h = len(rows)
     w = len(rows[0])
+    touched = 0
     for yy in range(h):
         for xx in range(w):
             if abs(xx - x) <= k and abs(yy - y) <= k:
@@ -29,7 +31,26 @@ def naive_tos_apply(rows, x: int, y: int, k: int, t_tos: int) -> None:
                 if v < t_tos:
                     v = 0
                 rows[yy][xx] = v
+                touched += 1
     rows[y][x] = 255
+    return touched
+
+
+class WindowedTos:
+    """Per-event TOS on its own array: decrement the clipped (2k+1)^2
+    window, read cells below t_tos as 0, set the fired pixel to 255."""
+
+    def __init__(self, width: int, height: int, k: int, t_tos: int):
+        self.k = k
+        self.t_tos = t_tos
+        self.grid = np.zeros((height, width), dtype=np.int64)
+
+    def apply(self, x: int, y: int) -> None:
+        k = self.k
+        win = self.grid[max(y - k, 0) : y + k + 1, max(x - k, 0) : x + k + 1]
+        win -= 1
+        win[win < self.t_tos] = 0
+        self.grid[y, x] = 255
 
 
 # --- Harris: literal kernels, direct per-pixel sums ------------------------
@@ -171,12 +192,12 @@ def brute_sp(stream, window_us: int, neighborhood: int):
 # --- ideal per-event Harris detector ----------------------------------------
 
 class IdealHarrisOracle:
-    """Per event: update a private TOS, then evaluate the local Harris
-    response on the live surface at the event pixel. The pipeline under
-    test must match this exactly when forced to regenerate per event."""
+    """Per event: update a private reference TOS, then evaluate the local
+    Harris response on the live surface at the event pixel. The pipeline
+    under test must match this exactly when forced to regenerate per event."""
 
     def __init__(self, geometry: SensorGeometry, config):
-        self.tos = TosSurface(geometry, config.k_tos, config.effective_t_tos())
+        self.tos = WindowedTos(geometry.width, geometry.height, config.k_tos, config.effective_t_tos())
         self.threshold = config.threshold_tr
         self.evaluator = PatchEvaluator((geometry.height, geometry.width), config.harris)
 
@@ -186,7 +207,7 @@ class IdealHarrisOracle:
         for i in range(len(stream)):
             x = int(stream.x[i])
             y = int(stream.y[i])
-            self.tos.update_many([x], [y])
+            self.tos.apply(x, y)
             r = self.evaluator.response(self.tos.grid, x, y)
             score[i] = r
             is_corner[i] = r > self.threshold

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,57 @@ def test_tos_floor_leaves_surface_unchanged():
         # raw starts at 0; each floor lifts it to t_tos - 1
         assert surf.raw.min() >= min(0, t_tos - 1) - interval
     assert np.array_equal(surf.grid, np.array(ref))
+
+
+@pytest.mark.parametrize("small_limits", [False, True])
+@pytest.mark.parametrize("default_t", [False, True])
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_tos_batch_splits_match_naive_reference(k, default_t, small_limits):
+    w, h, n = 17, 13, 400
+    t_tos = tos_default_threshold(k) if default_t else 0
+    rng = np.random.default_rng(100 * k + t_tos + small_limits)
+    xs = rng.integers(0, w, n)
+    ys = rng.integers(0, h, n)
+    xs[::9], ys[::9] = 3, 0  # hot pixel on the top border
+    xs[1::23], xs[2::23] = 0, w - 1  # left and right borders
+    ys[3::23], ys[4::23] = 0, h - 1  # top and bottom borders
+    xs[6::17], ys[6::17] = xs[5::17], ys[5::17]  # back-to-back duplicates
+    ref = naive_tos_new(w, h)
+    touched = sum(naive_tos_apply(ref, int(x), int(y), k, t_tos) for x, y in zip(xs, ys))
+    ref = np.array(ref)
+    splits = [[]] + [np.sort(rng.choice(np.arange(1, n), size=m, replace=False)) for m in (3, 40, 200)]
+    for cuts in splits:
+        surf = TosSurface(SensorGeometry(w, h), k, t_tos)
+        if small_limits:
+            surf.FLOOR_INTERVAL = 7
+            surf.SLICE = 16
+        for bx, by in zip(np.split(xs, cuts), np.split(ys, cuts)):
+            surf.update_many(bx, by)
+        surf.update_many([], [])
+        assert np.array_equal(surf.grid, ref), f"{len(cuts) + 1} calls"
+        assert surf.cells_touched == touched
+        assert surf.events_applied == n
+
+
+def test_tos_long_call_memory_is_bounded_by_slice():
+    g = SensorGeometry(640, 480)
+    rng = np.random.default_rng(11)
+    xs = rng.integers(0, 640, 200_000)
+    ys = rng.integers(0, 480, 200_000)
+    whole = TosSurface(g, k_tos=3)
+    tracemalloc.start()
+    try:
+        whole.update_many(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unsliced call would hold a 200k x 49 int64 cell-index matrix (78 MB)
+    assert peak < 8 << 20
+    sliced = TosSurface(g, k_tos=3)
+    for s in range(0, len(xs), TosSurface.SLICE):
+        sliced.update_many(xs[s : s + TosSurface.SLICE], ys[s : s + TosSurface.SLICE])
+    assert np.array_equal(whole.grid, sliced.grid)
+    assert whole.cells_touched == sliced.cells_touched
 
 
 def test_tos_speed_independence():
