@@ -1,11 +1,20 @@
 """Harris response kernel: Sobel derivatives, windowed gradient products,
-and the corner response, both full-frame and per-patch.
+and the corner response, over whole frames, dirty tiles or single pixels.
 
-The two evaluation paths are deliberately different implementations of the
-same arithmetic: the full-frame path runs separable filters over the whole
-image, the patch path gathers a mirror-extended local region and evaluates
-only the requested pixel. They agree to ~1e-12 relative everywhere,
-including image borders.
+The full-frame and the per-patch paths are deliberately different
+implementations of the same arithmetic: the frame path runs separable
+filters over row strips, the patch path gathers a mirror-extended local
+region and evaluates only the requested pixel. They agree to ~1e-12
+relative everywhere, including image borders.
+
+The frame path is translation-exact: a rectangle is evaluated from itself
+plus a ``reach`` halo, mirror padding applies only at the frame's edges,
+and every filter output is a sum over a fixed neighbourhood in a fixed
+order (exact for the block sums of integer images). A pixel's score is
+therefore bit-identical whichever rectangle it was computed in, so a full
+frame is simply every strip, and recomputing only the rectangles that
+cover some tiles (:func:`dirty_rects`) reproduces the full-frame map
+exactly.
 
 Conventions (fixed, and what the tests pin down):
 
@@ -20,13 +29,22 @@ Conventions (fixed, and what the tests pin down):
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.ndimage as ndi
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GeometryViolation, ImageTooSmall, InvalidParameter
+
+# side of the square tiles a partial regeneration tracks
+TILE = 32
+# pixels per evaluated strip (64 rows at 1280 wide): bounds a full frame's
+# temporaries at four strip-sized float64 arrays (plus halo rows), and
+# keeps narrow frames in few strips so per-call costs stay small
+STRIP_PIXELS = 64 * 1280
 
 
 @dataclass(frozen=True)
@@ -43,6 +61,11 @@ class HarrisParams:
         if not (self.kappa > 0 and np.isfinite(self.kappa)):
             raise InvalidParameter(f"kappa must be finite and > 0, got {self.kappa}")
 
+    @property
+    def reach(self) -> int:
+        """How far a score looks: block plus Sobel half-widths, in pixels."""
+        return self.block_size // 2 + self.sobel_aperture // 2
+
 
 def deriv_kernels(aperture: int) -> tuple[np.ndarray, np.ndarray]:
     """1-D (derivative, smoothing) kernel pair for a given Sobel aperture."""
@@ -57,8 +80,8 @@ def deriv_kernels(aperture: int) -> tuple[np.ndarray, np.ndarray]:
     return deriv, smooth
 
 
-def _check_image(image, aperture: int) -> np.ndarray:
-    img = np.asarray(image, dtype=np.float64)
+def _check_image(image, aperture: int, dtype=np.float64) -> np.ndarray:
+    img = np.asarray(image, dtype=dtype)
     if img.ndim != 2:
         raise InvalidParameter(f"expected 2-D image, got shape {img.shape}")
     if min(img.shape) < aperture:
@@ -75,15 +98,182 @@ def sobel_derivatives(image, params: HarrisParams) -> tuple[np.ndarray, np.ndarr
     return ix, iy
 
 
-def harris_response_map(image, params: HarrisParams = HarrisParams()) -> np.ndarray:
-    """Full-frame Harris response R = det(M) - kappa * tr(M)^2."""
-    ix, iy = sobel_derivatives(image, params)
-    b = params.block_size
-    gxx = ndi.uniform_filter(ix * ix, b, mode="mirror")
-    gyy = ndi.uniform_filter(iy * iy, b, mode="mirror")
-    gxy = ndi.uniform_filter(ix * iy, b, mode="mirror")
-    tr = gxx + gyy
-    return gxx * gyy - gxy * gxy - params.kappa * tr * tr
+def harris_response_map(image, params: HarrisParams = HarrisParams(),
+                        out: np.ndarray | None = None, rects=None,
+                        snap_below: int | None = None) -> np.ndarray:
+    """Harris response R = det(M) - kappa * tr(M)^2 of ``image``.
+
+    By default the whole frame, as the strips of ``dirty_rects``, into a new
+    array; otherwise the given ``(y0, y1, x0, x1)`` rectangles are written
+    into ``out`` and the rest of it is left as it is. Either way each
+    rectangle holds about ``STRIP_PIXELS`` at most, so the temporaries stay
+    strip-sized. With ``snap_below``, ``image`` is a raw TOS and cells below
+    it read as 0.
+    """
+    img = _check_image(image, params.sobel_aperture, dtype=None)
+    if out is None:
+        out = np.empty(img.shape)
+    if rects is None:
+        rects = dirty_rects(img.shape)
+    rect = _RectResponse.of(img.shape[0], params, snap_below)
+    for y0, y1, x0, x1 in rects:
+        out[y0:y1, x0:x1] = rect(img, y0, y1, x0, x1)
+    return out
+
+
+def tile_grid(shape: tuple[int, int]) -> tuple[int, int]:
+    """Rows and columns of ``TILE`` x ``TILE`` tiles covering ``shape``;
+    the last row and column may be partial."""
+    return -(-shape[0] // TILE), -(-shape[1] // TILE)
+
+
+def dirty_tiles(xs, ys, shape: tuple[int, int], radius: int) -> np.ndarray:
+    """``tile_grid`` mask of the tiles holding a pixel within ``radius``
+    (max norm) of any of the events: the scores the events can change."""
+    h, w = shape
+    x = np.asarray(xs, dtype=np.int64)
+    y = np.asarray(ys, dtype=np.int64)
+    tx0, tx1 = np.maximum(x - radius, 0) // TILE, np.minimum(x + radius, w - 1) // TILE
+    ty0, ty1 = np.maximum(y - radius, 0) // TILE, np.minimum(y + radius, h - 1) // TILE
+    mask = np.zeros(tile_grid(shape), dtype=bool)
+    span = 2 * radius // TILE + 2  # most tiles one event's square meets per axis
+    for dy in range(span):
+        rows = np.minimum(ty0 + dy, ty1)
+        for dx in range(span):
+            mask[rows, np.minimum(tx0 + dx, tx1)] = True
+    return mask
+
+
+def dirty_rects(shape: tuple[int, int], dirty: np.ndarray | None = None) -> list:
+    """``(y0, y1, x0, x1)`` rectangles covering the tiles marked in
+    ``dirty`` (a ``tile_grid`` mask; None marks all).
+
+    Each strip (the most whole tile rows within ``STRIP_PIXELS``, at least
+    one) gives one rectangle per run of tile columns dirty in any of its
+    tile rows, spanning its first to last dirty tile row; so an all-dirty
+    frame is exactly its strips.
+    """
+    h, w = shape
+    if dirty is None:
+        dirty = np.ones(tile_grid(shape), dtype=bool)
+    per_strip = max(STRIP_PIXELS // (w * TILE), 1)
+    rects = []
+    for t0 in range(0, dirty.shape[0], per_strip):
+        band = dirty[t0 : t0 + per_strip]
+        rows = np.flatnonzero(band.any(axis=1))
+        if rows.size == 0:
+            continue
+        y0 = int(t0 + rows[0]) * TILE
+        y1 = min(int(t0 + rows[-1] + 1) * TILE, h)
+        edges = np.flatnonzero(np.diff(band.any(axis=0), prepend=False, append=False))
+        rects += [(y0, y1, int(c0) * TILE, min(int(c1) * TILE, w))
+                  for c0, c1 in zip(edges[::2], edges[1::2])]
+    return rects
+
+
+class _RectResponse:
+    """Harris response on rectangles of images ``h`` rows high; the kernels
+    and row mirror maps are built once per frame.
+
+    A rectangle is read with a ``reach`` halo. Columns: the halo is clipped
+    at the frame and the row-wise filters mirror-pad the crop, which matters
+    only at real frame edges. Rows: the halo is gathered whole (mirrored
+    where it leaves the frame), and the column-wise filters sum shifted
+    rows, keeping only the rows the kernel fully covers, which is fast on
+    C-ordered arrays. The gradient products are re-mirrored at the frame's
+    top and bottom before their block sum, as a frame-wide filter would.
+    Four crop-sized float64 arrays are reused in place, from a per-thread
+    workspace kept across calls (fresh ones made the allocator return and
+    re-fault the memory every generation); the box sums add ones-weighted
+    taps (exact on integer images) and divide once.
+    """
+
+    @staticmethod
+    @lru_cache(maxsize=8)
+    def of(h: int, params: HarrisParams, snap_below: int | None) -> "_RectResponse":
+        """Shared instance per frame height and parameters; never mutated."""
+        return _RectResponse(h, params, snap_below)
+
+    def __init__(self, h: int, params: HarrisParams, snap_below: int | None):
+        self.params = params
+        self.snap_below = snap_below
+        self.bw = params.block_size // 2
+        self.kd, self.ks = deriv_kernels(params.sobel_aperture)
+        self.box = np.ones(params.block_size)
+        # source row of each halo'd image row, and of each gradient row
+        # (coordinates from -reach, resp. -bw), under reflect-101
+        self.image_rows = _mirror_indices(h, params.reach)
+        self.grad_rows = _mirror_indices(h, self.bw) - np.arange(-self.bw, h + self.bw)
+        self._local = threading.local()
+
+    def _workspace(self, shape: tuple[int, int]) -> list[np.ndarray]:
+        size = shape[0] * shape[1]
+        flat = getattr(self._local, "flat", None)
+        if flat is None or flat[0].size < size:
+            flat = self._local.flat = [np.empty(size) for _ in range(4)]
+        return [f[:size].reshape(shape) for f in flat]
+
+    def __call__(self, img: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
+        """The response on ``img[y0:y1, x0:x1]``, as a view into the calling
+        thread's workspace: valid until that thread's next call."""
+        p, bw = self.params, self.bw
+        reach = p.reach
+        n, m = y1 - y0, 2 * bw + y1 - y0  # output rows; gradient rows
+        q0, q1 = max(x0 - reach, 0), min(x1 + reach, img.shape[1])
+        crop = img[self.image_rows[y0 : y1 + 2 * reach], q0:q1]
+        a, b, c, d = self._workspace(crop.shape)
+        if self.snap_below is None:
+            np.copyto(a, crop)
+        else:
+            np.multiply(crop, crop >= self.snap_below, out=a)
+        ndi.correlate1d(a, self.kd, axis=1, output=b, mode="mirror")
+        ix = _correlate_rows(b, self.ks, c[:m], d)
+        ndi.correlate1d(a, self.ks, axis=1, output=b, mode="mirror")
+        iy = _correlate_rows(b, self.kd, a[:m], d)
+        # gradient rows beyond the frame mirror the products, not the image
+        shift = self.grad_rows[y0 : y1 + 2 * bw]
+        fold = np.flatnonzero(shift)
+        src = fold + shift[fold]
+
+        def block_sum(prod, tmp):
+            prod[fold] = prod[src]
+            rows = _correlate_rows(prod, self.box, tmp[:n], None)
+            return ndi.correlate1d(rows, self.box, axis=1, output=prod[:n], mode="mirror")
+
+        gxx = block_sum(np.multiply(ix, ix, out=b[:m]), d)
+        gxy = block_sum(np.multiply(ix, iy, out=d[:m]), c)
+        gyy = block_sum(np.multiply(iy, iy, out=c[:m]), a)
+        inner = np.s_[:, x0 - q0 : x1 - q0]
+        gxx, gxy, gyy, tr = gxx[inner], gxy[inner], gyy[inner], a[:n][inner]
+        area = float(p.block_size**2)
+        for g in (gxx, gxy, gyy):
+            g /= area
+        np.add(gxx, gyy, out=tr)
+        gxx *= gyy
+        gxy *= gxy
+        gxx -= gxy
+        np.multiply(tr, p.kappa, out=gxy)
+        gxy *= tr
+        gxx -= gxy
+        return gxx
+
+
+def _correlate_rows(x: np.ndarray, k: np.ndarray, out: np.ndarray,
+                    tmp: np.ndarray | None) -> np.ndarray:
+    """Correlation of ``x`` with ``k`` along axis 0 on the ``len(out)`` rows
+    the kernel fully covers, tap by tap in a fixed order; ``tmp`` holds the
+    weighted taps of a kernel with weights other than 0 and +-1."""
+    rows = len(out)
+    np.multiply(x[:rows], k[0], out=out)
+    for j in range(1, len(k)):
+        tap = x[j : j + rows]
+        if k[j] == 1:
+            out += tap
+        elif k[j] == -1:
+            out -= tap
+        elif k[j]:
+            out += np.multiply(tap, k[j], out=tmp[:rows])
+    return out
 
 
 def _mirror_indices(n: int, pad: int) -> np.ndarray:

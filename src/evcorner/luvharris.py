@@ -1,16 +1,22 @@
 """Two-phase corner pipeline: event-wise threshold-ordinal surface updates
-coupled with as-fast-as-possible regeneration of a full-frame Harris
-look-up table.
+coupled with as-fast-as-possible regeneration of the dirty tiles of a
+Harris look-up table.
 
 Phase 1 (per event, applied a batch at a time): decrement-and-fire the TOS
 for each event (``TosSurface.update_many``), then tag each event by a single
 LUT read. Phase 2 (per batch / continuously): recompute the LUT from a
-consistent TOS snapshot. In ``alternating`` mode the two phases take turns
-on one thread, each pass consuming the whole pending batch, so a batch is
-tagged against a fresh LUT but waits about one regeneration. In
-``dual_thread`` mode the caller's thread runs phase 1 on each chunk while a
-worker loops phase 2, publishing LUTs by atomic whole-object swap, so a
-chunk is tagged without waiting but against an older LUT.
+consistent TOS snapshot. A score depends on the TOS only within the Harris
+reach of its pixel, and an event changes the TOS only within ``k_tos`` of
+its own, so phase 2 recomputes just the tiles (``harris.TILE`` square)
+within ``k_tos + reach`` of the events since the last generation and
+splices them into a copy of the previous scores; the result equals the
+full-frame map bit for bit. In ``alternating`` mode the two phases take turns on one
+thread, each pass consuming the whole pending batch, so a batch is tagged
+against a fresh LUT but waits about one regeneration. In ``dual_thread``
+mode the caller's thread runs phase 1 on each chunk while a worker
+regenerates whenever tiles are pending, publishing LUTs by atomic
+whole-object swap, so a chunk is tagged without waiting but against an
+older LUT.
 
 The LUT a batch is classified against was generated from an earlier TOS
 state; staleness grows with batch size and only degrades accuracy, never
@@ -32,7 +38,7 @@ import numpy as np
 
 from .errors import GeometryViolation, InvalidParameter
 from .events import CornerTag, Event, EventStream, SensorGeometry, Tags
-from .harris import HarrisParams, harris_response_map
+from .harris import HarrisParams, dirty_rects, dirty_tiles, harris_response_map, tile_grid
 from .surfaces import TosSurface, tos_default_threshold
 
 # histogram bucket upper edges for the event-to-LUT time gap, microseconds
@@ -58,14 +64,23 @@ class LuvHarrisConfig:
     def effective_t_tos(self) -> int:
         return self.t_tos if self.t_tos is not None else tos_default_threshold(self.k_tos)
 
+    def dirty_radius(self) -> int:
+        """How far from an event scores can change: TOS window plus Harris reach."""
+        return self.k_tos + self.harris.reach
+
 
 @dataclass
 class HarrisLut:
-    """Full-frame Harris scores plus the stream time they were computed at."""
+    """Harris scores over the frame plus the stream time they hold for.
+
+    Each generation recomputes only the dirty tiles and carries the other
+    scores over from the previous one, unchanged and still exact.
+    """
 
     scores: np.ndarray
     generated_at: int  # timestamp (us) of the newest event in the source snapshot
     generation_index: int
+    pixels_regenerated: int = 0  # pixels this generation recomputed
 
 
 @dataclass
@@ -73,6 +88,7 @@ class PipelineStats:
     events_processed: int = 0
     lut_generations: int = 0
     max_batch_size: int = 0
+    pixels_regenerated: int = 0  # summed over generations
     t_err_histogram: np.ndarray = field(
         default_factory=lambda: np.zeros(len(T_ERR_BUCKETS_US) + 1, dtype=np.int64)
     )
@@ -92,15 +108,30 @@ def classify_event(event: Event, lut: HarrisLut, threshold_tr: float) -> CornerT
 
 
 def regenerate_lut(
-    grid: np.ndarray,
+    surface: np.ndarray,
     params: HarrisParams,
     latest_event_t: int,
     previous: HarrisLut | None = None,
+    dirty: np.ndarray | None = None,
+    t_tos: int = 0,
 ) -> HarrisLut:
-    """Recompute the full-frame LUT from a consistent TOS grid snapshot."""
-    scores = harris_response_map(grid, params)
-    index = previous.generation_index + 1 if previous is not None else 1
-    return HarrisLut(scores, int(latest_event_t), index)
+    """Next LUT from a consistent TOS snapshot.
+
+    ``surface`` is the raw TOS, whose cells below ``t_tos`` read as 0 (a
+    snapped grid with the default 0 works too). The tiles marked in
+    ``dirty`` (see ``harris.dirty_tiles``; None marks all) are recomputed and
+    spliced into a copy of ``previous.scores``, so the previous LUT is never
+    written to and publication stays an atomic swap. Without a previous LUT
+    every tile is recomputed.
+    """
+    if previous is None:
+        scores, dirty, index = np.empty(np.shape(surface)), None, 1
+    else:
+        scores, index = previous.scores.copy(), previous.generation_index + 1
+    rects = dirty_rects(np.shape(surface), dirty)
+    harris_response_map(surface, params, scores, rects, snap_below=t_tos)
+    written = sum((y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in rects)
+    return HarrisLut(scores, int(latest_event_t), index, written)
 
 
 def _read_lut(lut: HarrisLut, chunk: EventStream, threshold_tr: float,
@@ -167,7 +198,9 @@ class LuvHarrisDetector:
             self.tos.update_many(part.x, part.y)
             t1 = time.perf_counter()
             before = self.lut
-            self.lut = regenerate_lut(self.tos.grid, self.config.harris, int(part.t[-1]), before)
+            dirty = dirty_tiles(part.x, part.y, self.tos.raw.shape, self.config.dirty_radius())
+            self.lut = regenerate_lut(self.tos.raw, self.config.harris, int(part.t[-1]),
+                                      before, dirty, self.tos.t_tos)
             t2 = time.perf_counter()
             # stream-faithful: tag against the LUT that existed while this
             # batch was consumed; fresh: against the one regenerated after it
@@ -176,6 +209,7 @@ class LuvHarrisDetector:
             self.phase1_seconds += t1 - t0 + time.perf_counter() - t2
             self.phase2_seconds += t2 - t1
             self.stats.lut_generations += 1
+            self.stats.pixels_regenerated += self.lut.pixels_regenerated
             self.stats.max_batch_size = max(self.stats.max_batch_size, len(part))
         self.stats.events_processed += len(chunk)
         is_corner, score = zip(*parts)
@@ -195,11 +229,15 @@ class _DualThreadPipeline:
 
     The caller applies each ``process`` chunk to the TOS under a short lock,
     so the worker's snapshots always land between whole events (and between
-    chunks), then tags the chunk by one read of the published LUT. The
-    worker copies the TOS under the lock, regenerates outside it, and
-    publishes by rebinding ``self.lut`` — an atomic reference swap, so
-    readers always see exactly one complete generation. A worker failure is
-    re-raised in the caller by the next ``process`` call or by ``stop``.
+    chunks), and ORs the chunk's dirty tiles into the pending mask under the
+    same lock; then it tags the chunk by one read of the published LUT. The
+    worker sleeps until tiles are pending (all of them at a cold start),
+    takes the TOS copy and the pending mask together under the lock,
+    regenerates those tiles outside it, and publishes by rebinding
+    ``self.lut`` — an atomic reference swap, so readers always see exactly
+    one complete generation. ``stop`` lets it regenerate what is still
+    pending first. A worker failure is re-raised in the caller by the next
+    ``process`` call or by ``stop``.
     """
 
     def __init__(self, geometry: SensorGeometry, config: LuvHarrisConfig):
@@ -208,9 +246,11 @@ class _DualThreadPipeline:
         self.tos = TosSurface(geometry, config.k_tos, config.effective_t_tos())
         self.lut = _empty_lut(geometry)
         self.lock = threading.Lock()
+        self._wake = threading.Condition(self.lock)
         self.stats = PipelineStats()
         self.last_event_t = 0
-        self._stop = threading.Event()
+        self._dirty = np.ones(tile_grid(self.tos.raw.shape), dtype=bool)
+        self._stopping = False
         self._worker = threading.Thread(target=self._regen_loop, daemon=True)
         self._error: Exception | None = None
         self._seen_gen = 0
@@ -220,7 +260,9 @@ class _DualThreadPipeline:
         self._worker.start()
 
     def stop(self) -> None:
-        self._stop.set()
+        with self._wake:
+            self._stopping = True
+            self._wake.notify()
         self._worker.join()
         self._reraise()
 
@@ -231,13 +273,19 @@ class _DualThreadPipeline:
 
     def _regen_loop(self) -> None:
         try:
-            while not self._stop.is_set():
-                with self.lock:
+            while True:
+                with self._wake:
+                    while not (self._dirty.any() or self._stopping):
+                        self._wake.wait()
+                    if not self._dirty.any():
+                        return
                     raw = self.tos.raw.copy()
+                    dirty, self._dirty = self._dirty, np.zeros_like(self._dirty)
                     latest = self.last_event_t
-                # snap outside the lock; pure function
-                self.lut = regenerate_lut(self.tos.snap(raw), self.config.harris, latest, self.lut)
+                self.lut = regenerate_lut(raw, self.config.harris, latest, self.lut,
+                                          dirty, self.tos.t_tos)
                 self.stats.lut_generations += 1
+                self.stats.pixels_regenerated += self.lut.pixels_regenerated
         except Exception as e:
             self._error = e
 
@@ -245,9 +293,12 @@ class _DualThreadPipeline:
         self._reraise()
         if len(chunk) == 0:
             return Tags.for_stream(chunk, np.zeros(0, bool), np.zeros(0))
-        with self.lock:
+        dirty = dirty_tiles(chunk.x, chunk.y, self.tos.raw.shape, self.config.dirty_radius())
+        with self._wake:
             self.tos.update_many(chunk.x, chunk.y)
             self.last_event_t = int(chunk.t[-1])
+            self._dirty |= dirty
+            self._wake.notify()
         lut = self.lut  # one generation for the whole chunk, swapped atomically
         is_corner, score = _read_lut(lut, chunk, self.config.threshold_tr, self.stats)
         if lut.generation_index != self._seen_gen:

@@ -94,10 +94,7 @@ class TosSurface:
     @property
     def grid(self) -> np.ndarray:
         """Observable surface, values in {0} union [t_tos, 255]. Fresh array."""
-        return self.snap(self.raw)
-
-    def snap(self, raw: np.ndarray) -> np.ndarray:
-        return np.where(raw >= self.t_tos, raw, 0)
+        return np.where(self.raw >= self.t_tos, self.raw, 0)
 
     def update(self, event: Event) -> None:
         if not self.geometry.contains(event.x, event.y):
@@ -145,7 +142,7 @@ class TosSurface:
         self.events_applied += n
 
     def to_u8(self) -> np.ndarray:
-        return self.snap(self.raw).astype(np.uint8)
+        return self.grid.astype(np.uint8)
 
 
 class SaeSurface:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,48 @@ def test_errors():
         HarrisParams(block_size=2)
     with pytest.raises(InvalidParameter):
         HarrisParams(kappa=0.0)
+
+
+@pytest.mark.parametrize("block,aperture", [(3, 3), (7, 5), (9, 7)])
+@pytest.mark.parametrize("kind", ["tos", "float"])
+def test_crop_with_reach_halo_matches_full_map_bitwise(block, aperture, kind):
+    # a rectangle plus its reach halo (clipped at the frame) is evaluated
+    # as its own image, so its rows and strips start elsewhere than the
+    # frame's; at this width the frame itself spans three strips
+    rng = np.random.default_rng(block)
+    h, w = 200, 700
+    if kind == "tos":
+        img = rng.integers(12, 256, (h, w)) * (rng.random((h, w)) < 0.4)
+    else:
+        img = rng.normal(0.0, 50.0, (h, w))
+    p = HarrisParams(block_size=block, sobel_aperture=aperture)
+    r = p.reach
+    full = harris_response_map(img, p)
+    rects = [
+        (40, 73, 50, 91),  # interior
+        (90, 101, 300, 333),  # across a strip boundary
+        (0, 20, 0, 15),  # top-left corner
+        (180, 200, 685, 700),  # bottom-right corner
+        (0, 200, 60, 70),  # top to bottom
+        (70, 75, 0, 700),  # left to right
+        (97, 141, 696, 700),  # right edge
+    ]
+    for y0, y1, x0, x1 in rects:
+        cy, cx = max(y0 - r, 0), max(x0 - r, 0)
+        crop = img[cy : min(y1 + r, h), cx : min(x1 + r, w)]
+        got = harris_response_map(crop, p)[y0 - cy : y1 - cy, x0 - cx : x1 - cx]
+        assert np.array_equal(got, full[y0:y1, x0:x1]), (y0, y1, x0, x1)
+
+
+def test_full_map_memory_is_strip_bounded():
+    rng = np.random.default_rng(5)
+    img = rng.integers(12, 256, (720, 1280)).astype(np.int32)
+    tracemalloc.start()
+    try:
+        harris_response_map(img, HarrisParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 7.4 MB result plus four strip-sized float64 buffers; whole-frame
+    # temporaries peaked at about 56 MB
+    assert peak < 16 << 20

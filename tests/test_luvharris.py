@@ -23,7 +23,7 @@ from evcorner import (
 from evcorner.luvharris import _DualThreadPipeline
 from evcorner.synth import moving_corner_stream, random_stream, wedge_stream
 
-from oracles import IdealHarrisOracle, naive_tos_apply, naive_tos_new
+from oracles import IdealHarrisOracle, WindowedTos, naive_tos_apply, naive_tos_new
 
 
 def test_classify_cold_start_not_corner():
@@ -224,3 +224,77 @@ def test_stats_histogram_counts_all_events():
     _, stats = run_pipeline(stream, LuvHarrisConfig(), force_batch_size=128)
     assert int(stats.t_err_histogram.sum()) == len(stream)
     assert stats.max_batch_size == 128
+
+
+def _border_stream(g, n, seed):
+    """Events within two pixels of the frame's edges, the four corners
+    included, in random order."""
+    rng = np.random.default_rng(seed)
+    w, h = g.width, g.height
+    side = rng.integers(0, 4, n)
+    along = rng.integers(0, max(w, h), n)
+    depth = rng.integers(0, 3, n)
+    x = np.where(side == 0, depth, np.where(side == 1, w - 1 - depth, along % w))
+    y = np.where(side == 2, depth, np.where(side == 3, h - 1 - depth, along % h))
+    x[:4], y[:4] = [0, w - 1, 0, w - 1], [0, 0, h - 1, h - 1]
+    return EventStream.from_arrays(g, np.arange(1, n + 1), x, y, np.ones(n))
+
+
+@pytest.mark.parametrize("block,aperture", [(3, 3), (7, 5), (9, 7)])
+@pytest.mark.parametrize("k_tos", [1, 3, 6])
+@pytest.mark.parametrize("width,height", [(1300, 100), (150, 140), (20, 13)])
+def test_dirty_tile_luts_equal_full_map_of_naive_tos(width, height, k_tos, block, aperture):
+    # 1300x100 is four one-tile-row strips, 150x140 one strip of many
+    # tiles, both ending mid-tile; 20x13 is under one tile
+    g = SensorGeometry(width, height)
+    cfg = LuvHarrisConfig(k_tos=k_tos, threshold_tr=1e9,
+                          harris=HarrisParams(block_size=block, sobel_aperture=aperture))
+    rng = np.random.default_rng(width + 10 * k_tos + block)
+    sparse, _ = moving_corner_stream(g, start=(8, 8), n_steps=min(width, height) - 6)
+    streams = {
+        "sparse": sparse,
+        "dense": random_stream(g, 1500, seed=k_tos),
+        "border": _border_stream(g, 400, seed=block),
+    }
+    for name, stream in streams.items():
+        det = LuvHarrisDetector(g, cfg)
+        ref = WindowedTos(width, height, k_tos, cfg.effective_t_tos())
+        cuts = np.sort(rng.choice(np.arange(1, len(stream)), 25, replace=False))
+        for i0, i1 in zip(np.r_[0, cuts], np.r_[cuts, len(stream)]):
+            det.process(stream.slice(int(i0), int(i1)))
+            for x, y in zip(stream.x[i0:i1].tolist(), stream.y[i0:i1].tolist()):
+                ref.apply(x, y)
+            assert np.array_equal(det.lut.scores, harris_response_map(ref.grid, cfg.harris)), (
+                f"{name}: LUT after {i1} events differs from the full-frame map"
+            )
+
+
+def test_dual_thread_dirty_tile_luts_equal_full_map_of_naive_tos():
+    g = SensorGeometry(150, 140)
+    cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
+    stream, _ = moving_corner_stream(g, start=(8, 8), n_steps=134)
+    ref = WindowedTos(150, 140, cfg.k_tos, cfg.effective_t_tos())
+    pipe = _DualThreadPipeline(g, cfg)
+    pipe.start()
+    try:
+        for part in stream.chunks(97):
+            pipe.process(part)
+            for x, y in zip(part.x.tolist(), part.y.tolist()):
+                ref.apply(x, y)
+            deadline = time.monotonic() + 10
+            while pipe.lut.generated_at != part.t[-1] and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert np.array_equal(pipe.lut.scores, harris_response_map(ref.grid, cfg.harris))
+    finally:
+        pipe.stop()
+
+
+def test_regenerated_pixels_follow_the_dirty_area():
+    hd = SensorGeometry(1280, 720)
+    stream, _ = moving_corner_stream(hd)
+    _, stats = run_pipeline(stream, LuvHarrisConfig(threshold_tr=1e9))
+    assert stats.lut_generations > 100
+    assert stats.pixels_regenerated / stats.lut_generations < 0.05 * 1280 * 720
+    g = SensorGeometry(240, 180)
+    _, stats = run_pipeline(random_stream(g, 40_000, seed=6), LuvHarrisConfig(threshold_tr=1e9))
+    assert stats.pixels_regenerated == stats.lut_generations * 240 * 180
