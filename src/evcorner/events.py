@@ -22,8 +22,10 @@ legal and are preserved in file order.
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,13 +70,12 @@ def _validate_columns(geometry: SensorGeometry, t, x, y) -> None:
         raise GeometryViolation(
             f"({int(x[i])},{int(y[i])}) outside {geometry.width}x{geometry.height}", index=i
         )
-    if len(t) > 1:
-        dec = np.flatnonzero(np.diff(t.astype(np.int64)) < 0)
-        if dec.size:
-            i = int(dec[0]) + 1
-            raise TimestampRegression(
-                f"t={int(t[i])} after t={int(t[i - 1])}", index=i
-            )
+    dec = np.flatnonzero(t[1:] < t[:-1])  # in uint64: a difference could wrap
+    if dec.size:
+        i = int(dec[0]) + 1
+        raise TimestampRegression(
+            f"t={int(t[i])} after t={int(t[i - 1])}", index=i
+        )
 
 
 @dataclass
@@ -104,18 +105,6 @@ class EventStream:
             x.astype(np.uint16, copy=False),
             y.astype(np.uint16, copy=False),
             p.astype(np.uint8, copy=False),
-        )
-
-    @classmethod
-    def from_events(cls, geometry, events: Iterable[Event], validate: bool = True) -> "EventStream":
-        evs = list(events)
-        return cls.from_arrays(
-            geometry,
-            np.array([e.t for e in evs], dtype=np.uint64),
-            np.array([e.x for e in evs], dtype=np.int64),
-            np.array([e.y for e in evs], dtype=np.int64),
-            np.array([1 if e.p else 0 for e in evs], dtype=np.uint8),
-            validate=validate,
         )
 
     @classmethod
@@ -250,47 +239,92 @@ def read_stream(path, format: str = "csv", ts_unit: str = "us") -> EventStream:
     raise ValueError(f"unknown format {format!r}")
 
 
-def _read_csv(path, ts_unit: str) -> EventStream:
-    ts, xs, ys, ps = [], [], [], []
-    with open(path, "r") as f:
+# CSV bodies parse in bulk into these rows; event x and y are signed so that
+# a negative coordinate reaches GeometryViolation
+_EVENT_ROW = np.dtype([("t", "<u8"), ("x", "<i8"), ("y", "<i8"), ("p", "<i8")])
+_TAG_ROW = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"),
+                     ("c", "<i8"), ("s", "<f8")])
+
+
+def _loadtxt(lines, dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is legal
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _scan(f, line_rule, n_fields: int) -> Iterator[str]:
+    """Each non-blank body line as ``line_rule`` rewrites it; FormatError
+    at the first line whose fields the rule rejects (ValueError)."""
+    for lineno, line in enumerate(f, start=2):
+        if line := line.strip():
+            try:
+                fields = line.split(",")
+                if len(fields) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+                yield line_rule(fields)
+            except (ValueError, OverflowError) as e:
+                raise FormatError(f"{e} in {line!r}", line=lineno) from None
+
+
+def _read_rows(path, magic, dtype, line_rule, columns, bulk_dtype=None):
+    """Geometry and ``columns(rows)`` of a CSV file.
+
+    One ``np.loadtxt`` call parses the body and ``columns`` checks it a
+    column at a time (None: a check failed). Only then are the lines
+    scanned, which raises FormatError at the first bad line; a body that
+    passes (it holds ``1_000`` or a blank line, say) is parsed from the
+    canonical lines the scan yields.
+    """
+    # undecodable bytes become U+FFFD, which no field accepts
+    with open(path, "r", errors="replace") as f:
         header = f.readline()
         if not header:
             raise FormatError("empty file", line=1)
-        w, h = _parse_header(header, CSV_MAGIC)
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise FormatError(f"expected 4 fields, got {len(fields)}", line=lineno)
+        w, h = _parse_header(header, magic)
+        body = f.tell()
+        try:
+            cols = columns(_loadtxt(f, bulk_dtype or dtype))
+        except ValueError:
+            cols = None
+        if cols is None:
+            f.seek(body)
+            lines = _scan(f, line_rule, len(dtype))
             try:
-                if ts_unit == "s":
-                    t = int(round(float(fields[0]) * 1e6))
-                else:
-                    t = int(fields[0])
-                x = int(fields[1])
-                y = int(fields[2])
-                p = int(fields[3])
+                cols = columns(_loadtxt(lines, dtype))
             except ValueError:
-                raise FormatError(f"non-numeric field in {line!r}", line=lineno) from None
-            except OverflowError:
-                raise FormatError(f"timestamp out of range in {line!r}", line=lineno) from None
-            if p not in (0, 1):
-                raise FormatError(f"polarity must be 0 or 1, got {p}", line=lineno)
-            if t < 0:
-                raise FormatError(f"negative timestamp {t}", line=lineno)
-            ts.append(t)
-            xs.append(x)
-            ys.append(y)
-            ps.append(p)
-    geometry = SensorGeometry(w, h)
-    try:
-        t, x, y = (np.array(ts, dtype=np.uint64), np.array(xs, dtype=np.int64),
-                   np.array(ys, dtype=np.int64))
-    except OverflowError:
-        raise FormatError("a timestamp or coordinate exceeds 64 bits") from None
-    return EventStream.from_arrays(geometry, t, x, y, np.array(ps, dtype=np.uint8))
+                for _ in lines:  # a later line may still break the format
+                    pass
+                SensorGeometry(w, h)
+                raise FormatError("a field is out of range for its column") from None
+    return SensorGeometry(w, h), cols
+
+
+def _event_line(ts_unit: str):
+    def rule(fields: list[str]) -> str:
+        t = int(round(float(fields[0]) * 1e6)) if ts_unit == "s" else int(fields[0])
+        x, y, p = map(int, fields[1:])
+        if p not in (0, 1) or t < 0:
+            raise ValueError(f"need p in {{0, 1}} and t >= 0, got p={p}, t={t}")
+        return f"{t},{x},{y},{p}"
+    return rule
+
+
+def _event_columns(rows):
+    t, p = rows["t"], rows["p"]
+    if t.dtype.kind == "f":  # seconds
+        t = np.rint(t * 1e6)
+        if not np.all((t >= 0) & (t < 2.0**64)):  # also false for nan
+            return None
+    if np.all((p == 0) | (p == 1)):
+        return np.ascontiguousarray(t, dtype=np.uint64), rows["x"], rows["y"], p
+    return None
+
+
+def _read_csv(path, ts_unit: str) -> EventStream:
+    bulk = np.dtype([("t", "<f8")] + _EVENT_ROW.descr[1:]) if ts_unit == "s" else None
+    geometry, cols = _read_rows(path, CSV_MAGIC, _EVENT_ROW, _event_line(ts_unit),
+                                _event_columns, bulk)
+    return EventStream.from_arrays(geometry, *cols)
 
 
 def _read_binary(path) -> EventStream:
@@ -310,13 +344,25 @@ def _read_binary(path) -> EventStream:
     )
 
 
+# rows per formatted block: bounds the temporaries of a CSV write
+WRITE_BLOCK = 8192
+
+
+def _write_csv(path, magic: str, geometry: SensorGeometry, n: int, block) -> None:
+    """Write n rows a block at a time, each with one ``%`` format:
+    ``block(i0, i1)`` gives rows [i0, i1) as (format, column slices)."""
+    with open(path, "w") as f:
+        f.write(f"{magic} {geometry.width} {geometry.height}\n")
+        for i0 in range(0, n, WRITE_BLOCK):
+            fmt, columns = block(i0, min(i0 + WRITE_BLOCK, n))
+            f.write(fmt % tuple(chain.from_iterable(zip(*(c.tolist() for c in columns)))))
+
+
 def write_stream(stream: EventStream, path, format: str = "csv") -> None:
     if format == "csv":
-        with open(path, "w") as f:
-            f.write(f"{CSV_MAGIC} {stream.geometry.width} {stream.geometry.height}\n")
-            t, x, y, p = stream.t, stream.x, stream.y, stream.p
-            for i in range(len(stream)):
-                f.write(f"{t[i]},{x[i]},{y[i]},{p[i]}\n")
+        cols = (stream.t, stream.x, stream.y, stream.p)
+        _write_csv(path, CSV_MAGIC, stream.geometry, len(stream),
+                   lambda i0, i1: ("%d,%d,%d,%d\n" * (i1 - i0), (c[i0:i1] for c in cols)))
     elif format == "packed_binary":
         rec = np.empty(len(stream), dtype=EVENT_DTYPE)
         rec["t"] = stream.t
@@ -345,44 +391,30 @@ def format_score(s: float) -> str:
     return f"{s:.6e}"
 
 
+# format_score's two formats, indexed by "prints fixed-point"
+_TAG_FORMATS = np.array(["%d,%d,%d,%d,%d,%.6e\n", "%d,%d,%d,%d,%d,%.6f\n"], dtype=object)
+
+
 def write_tags(tags: Tags, path) -> None:
-    with open(path, "w") as f:
-        f.write(f"{TAGS_MAGIC} {tags.geometry.width} {tags.geometry.height}\n")
-        t, x, y, p, c, s = tags.t, tags.x, tags.y, tags.p, tags.is_corner, tags.score
-        for i in range(len(tags)):
-            f.write(f"{t[i]},{x[i]},{y[i]},{p[i]},{1 if c[i] else 0},{format_score(float(s[i]))}\n")
+    """Write a tag file; every score prints as ``format_score`` renders it."""
+    corner = np.asarray(tags.is_corner, dtype=bool).view(np.uint8)
+
+    def block(i0, i1):
+        score = tags.score[i0:i1] + 0.0  # -0.0 prints as 0.000000
+        a = np.abs(score)
+        fixed = (score == 0) | ((a >= 0.1) & (a < 1e16))
+        return ("".join(_TAG_FORMATS[fixed.view(np.uint8)].tolist()),
+                (tags.t[i0:i1], tags.x[i0:i1], tags.y[i0:i1], tags.p[i0:i1], corner[i0:i1], score))
+
+    _write_csv(path, TAGS_MAGIC, tags.geometry, len(tags), block)
+
+
+def _tag_line(fields: list[str]) -> str:
+    t, x, y, p, c = map(int, fields[:5])
+    return f"{t},{x},{y},{p},{int(c != 0)},{float(fields[5])!r}"
 
 
 def read_tags(path) -> Tags:
-    ts, xs, ys, ps, cs, ss = [], [], [], [], [], []
-    with open(path, "r") as f:
-        header = f.readline()
-        if not header:
-            raise FormatError("empty file", line=1)
-        w, h = _parse_header(header, TAGS_MAGIC)
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 6:
-                raise FormatError(f"expected 6 fields, got {len(fields)}", line=lineno)
-            try:
-                ts.append(int(fields[0]))
-                xs.append(int(fields[1]))
-                ys.append(int(fields[2]))
-                ps.append(int(fields[3]))
-                cs.append(int(fields[4]) != 0)
-                ss.append(float(fields[5]))
-            except ValueError:
-                raise FormatError(f"non-numeric field in {line!r}", line=lineno) from None
-    geometry = SensorGeometry(w, h)
-    return Tags(
-        geometry,
-        np.array(ts, dtype=np.uint64),
-        np.array(xs, dtype=np.uint16),
-        np.array(ys, dtype=np.uint16),
-        np.array(ps, dtype=np.uint8),
-        np.array(cs, dtype=bool),
-        np.array(ss, dtype=np.float64),
-    )
+    geometry, cols = _read_rows(path, TAGS_MAGIC, _TAG_ROW, _tag_line, lambda r: (
+        *(np.ascontiguousarray(r[k]) for k in "txyp"), r["c"] != 0, np.ascontiguousarray(r["s"])))
+    return Tags(geometry, *cols)

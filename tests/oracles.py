@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from evcorner import PatchEvaluator, SensorGeometry
+from evcorner import FormatError, PatchEvaluator, SensorGeometry
+from evcorner.events import CSV_MAGIC, TAGS_MAGIC, _parse_header, format_score
 
 # --- threshold-ordinal surface: full-grid rewalk per event ----------------
 
@@ -187,6 +188,134 @@ def brute_sp(stream, window_us: int, neighborhood: int):
         )
         keep[i] = bool(near.any())
     return keep
+
+
+def loop_refractory(stream, period_us: int):
+    """Keep mask of the per-event loop: compare with the last retained
+    event at the pixel, in stream order."""
+    if period_us == 0:
+        return np.ones(len(stream), dtype=bool)
+    h, w = stream.geometry.height, stream.geometry.width
+    last_kept = np.full((h, w), -(period_us + 1), dtype=np.int64)
+    keep = np.zeros(len(stream), dtype=bool)
+    for i, (t, x, y) in enumerate(zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist())):
+        if t - last_kept[y, x] > period_us:
+            keep[i] = True
+            last_kept[y, x] = t
+    return keep
+
+
+def loop_sp(stream, window_us: int, neighborhood: int):
+    """Keep mask of the per-event loop: support from the latest earlier
+    (by index) event at each pixel of the box, dropped or not; the padding
+    outside the frame never supports."""
+    h, w = stream.geometry.height, stream.geometry.width
+    nb = neighborhood
+    last = np.full((h + 2 * nb, w + 2 * nb), -(window_us + 1), dtype=np.int64)
+    keep = np.zeros(len(stream), dtype=bool)
+    span = 2 * nb + 1
+    for i, (t, x, y) in enumerate(zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist())):
+        patch = last[y : y + span, x : x + span]
+        keep[i] = bool((t - patch <= window_us).any())
+        last[y + nb, x + nb] = t
+    return keep
+
+
+# --- CSV files: per-line parsers and f-string writers -----------------------
+
+def spec_read_csv(path, ts_unit: str = "us"):
+    """(geometry, t, x, y, p) of an event CSV, parsed line by line with
+    Python's int/float; the rules ``read_stream`` must follow."""
+    ts, xs, ys, ps = [], [], [], []
+    with open(path, "r", errors="replace") as f:
+        header = f.readline()
+        if not header:
+            raise FormatError("empty file", line=1)
+        w, h = _parse_header(header, CSV_MAGIC)
+        for lineno, line in enumerate(f, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 4:
+                raise FormatError(f"expected 4 fields, got {len(fields)}", line=lineno)
+            try:
+                if ts_unit == "s":
+                    t = int(round(float(fields[0]) * 1e6))
+                else:
+                    t = int(fields[0])
+                x = int(fields[1])
+                y = int(fields[2])
+                p = int(fields[3])
+            except ValueError:
+                raise FormatError(f"non-numeric field in {line!r}", line=lineno) from None
+            except OverflowError:
+                raise FormatError(f"timestamp out of range in {line!r}", line=lineno) from None
+            if p not in (0, 1):
+                raise FormatError(f"polarity must be 0 or 1, got {p}", line=lineno)
+            if t < 0:
+                raise FormatError(f"negative timestamp {t}", line=lineno)
+            ts.append(t)
+            xs.append(x)
+            ys.append(y)
+            ps.append(p)
+    geometry = SensorGeometry(w, h)
+    try:
+        t, x, y = (np.array(ts, dtype=np.uint64), np.array(xs, dtype=np.int64),
+                   np.array(ys, dtype=np.int64))
+    except OverflowError:
+        raise FormatError("a timestamp or coordinate exceeds 64 bits") from None
+    return geometry, t, x, y, np.array(ps, dtype=np.uint8)
+
+
+def spec_read_tags(path):
+    """(geometry, t, x, y, p, is_corner, score) of a tag file, parsed line
+    by line; a value outside its column's type is a FormatError."""
+    ts, xs, ys, ps, cs, ss = [], [], [], [], [], []
+    with open(path, "r", errors="replace") as f:
+        header = f.readline()
+        if not header:
+            raise FormatError("empty file", line=1)
+        w, h = _parse_header(header, TAGS_MAGIC)
+        for lineno, line in enumerate(f, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 6:
+                raise FormatError(f"expected 6 fields, got {len(fields)}", line=lineno)
+            try:
+                ts.append(int(fields[0]))
+                xs.append(int(fields[1]))
+                ys.append(int(fields[2]))
+                ps.append(int(fields[3]))
+                cs.append(int(fields[4]) != 0)
+                ss.append(float(fields[5]))
+            except ValueError:
+                raise FormatError(f"non-numeric field in {line!r}", line=lineno) from None
+    geometry = SensorGeometry(w, h)
+    try:
+        cols = (np.array(ts, dtype=np.uint64), np.array(xs, dtype=np.uint16),
+                np.array(ys, dtype=np.uint16), np.array(ps, dtype=np.uint8))
+    except OverflowError:
+        raise FormatError("a field is out of range for its column") from None
+    return (geometry, *cols, np.array(cs, dtype=bool), np.array(ss, dtype=np.float64))
+
+
+def fstring_stream_csv(stream) -> str:
+    rows = [f"{CSV_MAGIC} {stream.geometry.width} {stream.geometry.height}\n"]
+    t, x, y, p = stream.t, stream.x, stream.y, stream.p
+    for i in range(len(stream)):
+        rows.append(f"{t[i]},{x[i]},{y[i]},{p[i]}\n")
+    return "".join(rows)
+
+
+def fstring_tags_csv(tags) -> str:
+    rows = [f"{TAGS_MAGIC} {tags.geometry.width} {tags.geometry.height}\n"]
+    t, x, y, p, c, s = tags.t, tags.x, tags.y, tags.p, tags.is_corner, tags.score
+    for i in range(len(tags)):
+        rows.append(f"{t[i]},{x[i]},{y[i]},{p[i]},{1 if c[i] else 0},{format_score(float(s[i]))}\n")
+    return "".join(rows)
 
 
 # --- ideal per-event Harris detector ----------------------------------------

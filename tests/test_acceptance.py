@@ -8,6 +8,7 @@ machine; they use seeded streams and median/min statistics to stay stable.
 import time
 
 import numpy as np
+import pytest
 
 from evcorner import (
     ArcDetector,
@@ -139,6 +140,7 @@ def test_criterion_3_tos_properties():
     assert range_ok and speed_ok and naive_ok
 
 
+@pytest.mark.wallclock
 def test_criterion_4_throughput_ordering():
     g = SensorGeometry(240, 180)
     stream = texture_stream(g, 2_200_000, seed=7)
@@ -164,6 +166,7 @@ def test_criterion_4_throughput_ordering():
     assert ratio >= 1.5, rates
 
 
+@pytest.mark.wallclock
 def test_criterion_5_delay_behaviour():
     g = SensorGeometry(240, 180)
     probe = texture_stream(g, 400_000, seed=9)
@@ -287,6 +290,7 @@ def test_criterion_7_filter_oracles():
     assert example_ok and ref_ok and sp_ok
 
 
+@pytest.mark.wallclock
 def test_criterion_8_throughput_model_fit():
     def factory_for(g):
         return lambda: LuvHarrisDetector(

@@ -91,6 +91,7 @@ def test_model_passthrough_has_zero_q2():
     assert model.q1_cost_ns > 0
 
 
+@pytest.mark.wallclock
 def test_model_prediction_close_on_holdout():
     g = SensorGeometry(128, 128)
     fit_stream = random_stream(g, 120_000, seed=11)
@@ -140,6 +141,7 @@ def test_burst_delay_recovers_with_headroom():
     assert tail_delay < 0.3 * peak_delay  # recovered afterwards
 
 
+@pytest.mark.wallclock
 def test_luvharris_throughput_drops_with_larger_k_tos():
     from evcorner import LuvHarrisConfig, LuvHarrisDetector
     from evcorner.synth import texture_stream

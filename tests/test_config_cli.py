@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from evcorner import InvalidParameter, SensorGeometry, read_stream, read_tags, w
 from evcorner.cli import main
 from evcorner.config import build_detector, load_config, luvharris_config_from
 from evcorner.render import read_pgm
-from evcorner.synth import random_stream, wedge_stream
+from evcorner.synth import random_stream, texture_stream, wedge_stream
 
 
 def test_config_file_parsing(tmp_path):
@@ -144,3 +146,22 @@ def test_cli_dual_thread_worker_failure_is_reported(tmp_path, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_filter_then_detect_output_is_golden(tmp_path):
+    # digests of the files the per-line reader, the per-event filter loops
+    # and the per-row writers produced for this input; the bulk paths must
+    # reproduce them byte for byte
+    g = SensorGeometry(240, 180)
+    write_stream(texture_stream(g, 12_000, duration_us=80_000, seed=11), tmp_path / "raw.csv")
+    assert main(["filter", "--in", str(tmp_path / "raw.csv"), "--out", str(tmp_path / "clean.csv"),
+                 "--refractory-us", "2000", "--sp-window-us", "30000"]) == 0
+    assert main(["detect", "--in", str(tmp_path / "clean.csv"),
+                 "--out", str(tmp_path / "tags.csv")]) == 0
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("raw.csv", "clean.csv", "tags.csv")}
+    assert digest == {
+        "raw.csv": "a0e0692d712ff347fb4c72f4869b8eb45764c09457694fbb50e9b7da1cc52fd1",
+        "clean.csv": "ebb9207099d8159ce360213ac2c2ca210b6967e332a5c7cce1b883c8c2385e95",
+        "tags.csv": "6b2d9202340add5dda2240bd3c0339f3e110cce93620ebb13db32306fde18fba",
+    }
