@@ -14,10 +14,7 @@ from .baselines import (
     EHarrisConfig,
     EHarrisDetector,
     FastDetector,
-    arc_detect,
     decision_parameter_sweep,
-    eharris_detect,
-    fast_detect,
     process_chunked,
 )
 from .bench import (
@@ -75,12 +72,11 @@ from .luvharris import (
     HarrisLut,
     LuvHarrisConfig,
     LuvHarrisDetector,
-    PipelineStats,
-    classify_event,
     regenerate_lut,
     run_pipeline,
 )
 from .render import export_plot_data, read_pgm, render_tos, render_trails, save_frames, write_pgm
+from .stats import PipelineStats
 from .surfaces import (
     BinaryWindowSurface,
     SaeSurface,

@@ -43,6 +43,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .events import EventStream, SensorGeometry, Tags
 from .harris import HarrisParams, PatchEvaluator
+from .stats import PipelineStats
 from .surfaces import BinaryWindowSurface, SaeSurface
 
 CIRCLE3 = (
@@ -164,8 +165,7 @@ class _RingDetector:
         self._off3 = _flat_offsets(CIRCLE3, geometry.width)
         self._off4 = _flat_offsets(CIRCLE4, geometry.width)
         self._margin = self.config.outer_radius
-        self.phase1_seconds = 0.0
-        self.events_processed = 0
+        self.stats = PipelineStats()
 
     def reset(self) -> None:
         self.__init__(self.geometry, self.config)
@@ -212,17 +212,9 @@ class _RingDetector:
             s = a3 if a3 >= a4 else a4  # both rings must accept: worst angle rules
             score[i] = s
             is_corner[i] = s <= thr
-        self.phase1_seconds += time.perf_counter() - t0
-        self.events_processed += n
+        self.stats.phase1_s += time.perf_counter() - t0
+        self.stats.events_processed += n
         return Tags.for_stream(chunk, is_corner, score)
-
-    def instrument_counters(self) -> dict:
-        return {
-            "phase1_seconds": self.phase1_seconds,
-            "events": self.events_processed,
-            "phase2_seconds": 0.0,
-            "generations": 0,
-        }
 
 
 class FastDetector(_RingDetector):
@@ -257,8 +249,7 @@ class EHarrisDetector:
         self.config = config or EHarrisConfig()
         self.surface = BinaryWindowSurface(geometry, self.config.window_us)
         self.evaluator = PatchEvaluator((geometry.height, geometry.width), self.config.harris)
-        self.phase1_seconds = 0.0
-        self.events_processed = 0
+        self.stats = PipelineStats()
 
     def reset(self) -> None:
         self.__init__(self.geometry, self.config)
@@ -288,31 +279,9 @@ class EHarrisDetector:
             r = ev.response_from_region(img, x, y)
             score[i] = r
             is_corner[i] = r > thr
-        self.phase1_seconds += time.perf_counter() - t0
-        self.events_processed += n
+        self.stats.phase1_s += time.perf_counter() - t0
+        self.stats.events_processed += n
         return Tags.for_stream(chunk, is_corner, score)
-
-    def instrument_counters(self) -> dict:
-        return {
-            "phase1_seconds": self.phase1_seconds,
-            "events": self.events_processed,
-            "phase2_seconds": 0.0,
-            "generations": 0,
-        }
-
-
-def eharris_detect(stream: EventStream, config: EHarrisConfig | None = None) -> Tags:
-    return EHarrisDetector(stream.geometry, config).process(stream)
-
-
-def fast_detect(stream: EventStream, config: ArcRingConfig | None = None) -> Tags:
-    return FastDetector(stream.geometry, config).process(stream)
-
-
-def arc_detect(stream: EventStream, config: ArcRingConfig | None = None) -> Tags:
-    """ARC expects refractory-filtered input for best accuracy; the detector
-    itself runs on whatever stream it is given."""
-    return ArcDetector(stream.geometry, config).process(stream)
 
 
 def process_chunked(detector, stream: EventStream, window_us: int = 10_000,

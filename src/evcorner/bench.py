@@ -14,7 +14,11 @@ Three measurements, mirroring how a live system is judged:
   elapsed minus the stream time of the packet just completed, clamped at 0.
 * :func:`fit_throughput_model` — splits a detector's cost into a per-event
   part and a per-LUT-generation part and predicts total processing time as
-  ``q1 * V + q2 * W``. Detectors without phase counters are rejected.
+  ``q1 * V + q2 * W`` from the detector's ``stats`` (a ``PipelineStats``);
+  detectors without one are rejected.
+
+Every function here closes the detectors it runs (see :func:`closing`), so a
+``dual_thread`` luvharris worker never outlives its measurement.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ import queue
 import statistics
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InstrumentationUnavailable, StreamTooShort
 from .events import EventStream, SensorGeometry, Tags
+from .stats import PipelineStats
 
 MIN_MEASURE_SECONDS = 0.2
 
@@ -79,28 +85,18 @@ class PassThroughDetector:
 
     def __init__(self, geometry: SensorGeometry):
         self.geometry = geometry
-        self.phase1_seconds = 0.0
-        self.events_processed = 0
+        self.stats = PipelineStats()
 
     def reset(self) -> None:
-        self.phase1_seconds = 0.0
-        self.events_processed = 0
+        self.stats = PipelineStats()
 
     def process(self, chunk: EventStream) -> Tags:
         t0 = time.perf_counter()
         n = len(chunk)
         out = Tags.for_stream(chunk, np.zeros(n, bool), np.zeros(n))
-        self.phase1_seconds += time.perf_counter() - t0
-        self.events_processed += n
+        self.stats.phase1_s += time.perf_counter() - t0
+        self.stats.events_processed += n
         return out
-
-    def instrument_counters(self) -> dict:
-        return {
-            "phase1_seconds": self.phase1_seconds,
-            "events": self.events_processed,
-            "phase2_seconds": 0.0,
-            "generations": 0,
-        }
 
 
 def _fresh(detector_or_factory):
@@ -108,6 +104,29 @@ def _fresh(detector_or_factory):
         return detector_or_factory()
     detector_or_factory.reset()
     return detector_or_factory
+
+
+@contextmanager
+def _gc_paused():
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if gc_was_on:
+            gc.enable()
+
+
+@contextmanager
+def closing(detector):
+    """Like ``contextlib.closing``, for any detector: on exit, stop its
+    background work if it has a ``close`` method (luvharris ``dual_thread``
+    joins its worker there and re-raises a worker failure)."""
+    try:
+        yield detector
+    finally:
+        if hasattr(detector, "close"):
+            detector.close()
 
 
 def measure_throughput(
@@ -134,9 +153,7 @@ def measure_throughput(
         name = getattr(det, "name", type(det).__name__)
         processed = 0
         offset = 0
-        gc_was_on = gc.isenabled()
-        gc.disable()
-        try:
+        with _gc_paused(), closing(det):
             t0 = time.perf_counter()
             deadline = t0 + budget_s
             while True:
@@ -152,9 +169,6 @@ def measure_throughput(
                     continue
                 break
             elapsed = time.perf_counter() - t0
-        finally:
-            if gc_was_on:
-                gc.enable()
         if elapsed < MIN_MEASURE_SECONDS:
             raise StreamTooShort(
                 f"measurement lasted {elapsed:.3f}s; raise budget_s or stream size"
@@ -211,49 +225,46 @@ def paced_replay(
 
     stream_times = []
     delays = []
-    gc_was_on = gc.isenabled()
-    gc.disable()
     th = threading.Thread(target=pacer, daemon=True)
-    wall0 = time.perf_counter()
-    th.start()
-    try:
-        done = False
-        while not done:
-            item = q.get()
-            if item is None:
-                break
-            batch = [item]
-            while True:  # drain everything pending: the whole backlog is one input batch
-                try:
-                    nxt = q.get_nowait()
-                except queue.Empty:
+    with _gc_paused():
+        wall0 = time.perf_counter()
+        th.start()
+        try:
+            done = False
+            while not done:
+                item = q.get()
+                if item is None:
                     break
-                if nxt is None:
-                    done = True
-                    break
-                batch.append(nxt)
-            parts = [sl for (_, _, sl) in batch if len(sl)]
-            if parts:
-                if len(parts) == 1:
-                    merged = parts[0]
-                else:
-                    merged = EventStream(
-                        stream.geometry,
-                        np.concatenate([s.t for s in parts]),
-                        np.concatenate([s.x for s in parts]),
-                        np.concatenate([s.y for s in parts]),
-                        np.concatenate([s.p for s in parts]),
-                    )
-                detector.process(merged)
-            completed_us = (time.perf_counter() - wall0) * 1e6
-            for _, end_us, _ in batch:
-                stream_times.append(end_us)
-                delays.append(max(completed_us - end_us, 0.0))
-    finally:
-        abort.set()
-        th.join()
-        if gc_was_on:
-            gc.enable()
+                batch = [item]
+                while True:  # drain everything pending: the whole backlog is one input batch
+                    try:
+                        nxt = q.get_nowait()
+                    except queue.Empty:
+                        break
+                    if nxt is None:
+                        done = True
+                        break
+                    batch.append(nxt)
+                parts = [sl for (_, _, sl) in batch if len(sl)]
+                if parts:
+                    if len(parts) == 1:
+                        merged = parts[0]
+                    else:
+                        merged = EventStream(
+                            stream.geometry,
+                            np.concatenate([s.t for s in parts]),
+                            np.concatenate([s.x for s in parts]),
+                            np.concatenate([s.y for s in parts]),
+                            np.concatenate([s.p for s in parts]),
+                        )
+                    detector.process(merged)
+                completed_us = (time.perf_counter() - wall0) * 1e6
+                for _, end_us, _ in batch:
+                    stream_times.append(end_us)
+                    delays.append(max(completed_us - end_us, 0.0))
+        finally:
+            abort.set()
+            th.join()
     return DelayTrace(
         getattr(detector, "name", type(detector).__name__),
         np.array(stream_times, dtype=np.int64),
@@ -265,42 +276,28 @@ def paced_replay(
 def fit_throughput_model(detector_factory, stream: EventStream) -> ThroughputModel:
     """Measure per-event and per-generation costs from an instrumented run."""
     det = _fresh(detector_factory)
-    if not hasattr(det, "instrument_counters"):
+    if not hasattr(det, "stats"):
         raise InstrumentationUnavailable(
             f"{type(det).__name__} exposes no phase counters"
         )
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused(), closing(det):
         for c in stream.chunks(65_536):
             det.process(c)
-    finally:
-        if gc_was_on:
-            gc.enable()
-    c = det.instrument_counters()
-    v = int(c["events"])
-    w = int(c["generations"])
+    v, w = det.stats.events_processed, det.stats.lut_generations
     if v == 0:
         raise StreamTooShort("no events processed")
-    q1 = c["phase1_seconds"] / v * 1e9
-    q2 = c["phase2_seconds"] / w * 1e9 if w else 0.0
+    q1 = det.stats.phase1_s / v * 1e9
+    q2 = det.stats.phase2_s / w * 1e9 if w else 0.0
     return ThroughputModel(q1, q2, v, w)
 
 
 def run_detector_timed(detector_factory, stream: EventStream, chunk_events: int = 65_536):
     """Process a stream once; returns (seconds, events, generations)."""
     det = _fresh(detector_factory)
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused(), closing(det):
         t0 = time.perf_counter()
         for c in stream.chunks(chunk_events):
             det.process(c)
         elapsed = time.perf_counter() - t0
-    finally:
-        if gc_was_on:
-            gc.enable()
-    gens = 0
-    if hasattr(det, "instrument_counters"):
-        gens = int(det.instrument_counters()["generations"])
+    gens = det.stats.lut_generations if hasattr(det, "stats") else 0
     return elapsed, len(stream), gens

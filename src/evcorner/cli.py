@@ -15,13 +15,12 @@ import sys
 
 from . import __version__
 from .baselines import decision_parameter_sweep, process_chunked
-from .bench import measure_throughput, paced_replay
-from .config import DETECTOR_NAMES, build_detector, load_config, luvharris_config_from
+from .bench import closing, measure_throughput, paced_replay
+from .config import DETECTOR_NAMES, build_detector, load_config
 from .errors import EvcError
 from .evaluate import load_ground_truth, pr_curve
 from .events import read_stream, read_tags, write_stream, write_tags
 from .filters import refractory_filter, sp_filter
-from .luvharris import run_pipeline
 from .render import export_plot_data, render_tos, render_trails, save_frames
 from .surfaces import TosSurface
 
@@ -41,11 +40,7 @@ def _options(args) -> dict:
 
 def cmd_detect(args) -> int:
     stream = _load(args.infile, ts_unit=args.ts_unit)
-    opts = _options(args)
-    if args.detector == "luvharris" and opts.get("mode") == "dual_thread":
-        tags, _ = run_pipeline(stream, luvharris_config_from(opts))
-    else:
-        det = build_detector(args.detector, stream.geometry, opts)
+    with closing(build_detector(args.detector, stream.geometry, _options(args))) as det:
         # feed in chunks so batch-oriented pipelines see live-sized backlogs
         tags = process_chunked(det, stream)
     write_tags(tags, args.out)
@@ -80,8 +75,8 @@ def cmd_bench(args) -> int:
             print(f"{name:<12} {res.median_rate / 1e6:>8.3f}  {res.spread / 1e6:>8.3f}  [{rates}]")
     else:
         for name in names:
-            det = build_detector(name, stream.geometry, opts)
-            trace = paced_replay(det, stream, packet_us=args.packet_us)
+            with closing(build_detector(name, stream.geometry, opts)) as det:
+                trace = paced_replay(det, stream, packet_us=args.packet_us)
             out = f"{args.out_prefix}{name}_delay.csv"
             export_plot_data(trace, out)
             print(f"{name}: max delay {trace.delay_us.max() / 1e3:.1f} ms -> {out}")
@@ -106,8 +101,8 @@ def cmd_render(args) -> int:
 def cmd_pr(args) -> int:
     stream = _load(args.infile, ts_unit=args.ts_unit)
     gt = load_ground_truth(args.gt, stream, corner_fraction=args.corner_fraction)
-    det = build_detector(args.detector, stream.geometry, _options(args))
-    sweep = decision_parameter_sweep(det, stream, n_points=args.n_points)
+    with closing(build_detector(args.detector, stream.geometry, _options(args))) as det:
+        sweep = decision_parameter_sweep(det, stream, n_points=args.n_points)
     curve = pr_curve(sweep, gt, detector=args.detector)
     export_plot_data(curve, args.out)
     print(f"{len(curve.points)} PR points -> {args.out}")

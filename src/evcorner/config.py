@@ -10,7 +10,8 @@ Recognised keys:
     kappa               Harris k
     threshold_tr        corner decision threshold on the raw response
     mode                alternating (fresher LUT, a batch waits about one
-                        regeneration) | dual_thread (no wait, older LUT)
+                        regeneration) | dual_thread (a worker thread
+                        regenerates the LUT; no wait, older LUT)
     window_us           eharris binary-window duration
     max_angle_deg       fast/arc acceptance angle
     refractory_us, sp_window_us, sp_neighborhood   pre-filter settings
@@ -80,16 +81,12 @@ def luvharris_config_from(options: dict) -> LuvHarrisConfig:
 
 
 def build_detector(name: str, geometry: SensorGeometry, options: dict | None = None):
-    """Streaming detector by name. luvharris is built in alternating mode
-    (the streaming interface is single-threaded); run dual_thread pipelines
-    through ``run_pipeline``."""
+    """Streaming detector by name. luvharris runs the configured ``mode``;
+    a ``dual_thread`` one starts its worker on the first ``process`` call,
+    so close it when done (``bench.closing`` closes any detector)."""
     options = options or {}
     if name == "luvharris":
-        cfg = luvharris_config_from(options)
-        if cfg.mode != "alternating":
-            cfg = LuvHarrisConfig(cfg.k_tos, cfg.t_tos, cfg.harris, cfg.threshold_tr,
-                                  "alternating")
-        return LuvHarrisDetector(geometry, cfg)
+        return LuvHarrisDetector(geometry, luvharris_config_from(options))
     if name == "eharris":
         return EHarrisDetector(geometry, EHarrisConfig(
             window_us=options.get("window_us", 10_000),

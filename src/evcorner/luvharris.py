@@ -10,22 +10,27 @@ reach of its pixel, and an event changes the TOS only within ``k_tos`` of
 its own, so phase 2 recomputes just the tiles (``harris.TILE`` square)
 within ``k_tos + reach`` of the events since the last generation and
 splices them into a copy of the previous scores; the result equals the
-full-frame map bit for bit. In ``alternating`` mode the two phases take turns on one
-thread, each pass consuming the whole pending batch, so a batch is tagged
-against a fresh LUT but waits about one regeneration. In ``dual_thread``
-mode the caller's thread runs phase 1 on each chunk while a worker
-regenerates whenever tiles are pending, publishing LUTs by atomic
-whole-object swap, so a chunk is tagged without waiting but against an
-older LUT.
+full-frame map bit for bit.
+
+``LuvHarrisDetector`` runs either ``LuvHarrisConfig.mode``. In
+``alternating`` mode the two phases take turns on the caller's thread, each
+pass consuming the whole pending batch, so a batch is tagged against a
+fresh LUT but waits about one regeneration. In ``dual_thread`` mode the
+caller's thread runs phase 1 on each chunk while a worker thread (named
+``WORKER_NAME``, started by the first ``process`` call) regenerates
+whenever tiles are pending, publishing LUTs by atomic whole-object swap, so
+a chunk is tagged without waiting but against an older LUT. ``close()``
+(or leaving a ``with`` block) and ``reset()`` join the worker.
 
 The LUT a batch is classified against was generated from an earlier TOS
 state; staleness grows with batch size and only degrades accuracy, never
 corrupts ordering (every event yields exactly one tag, in input order).
 
-``force_batch_size`` is a test hook: it fixes the batch schedule and, with
-size 1, classifies each event against a LUT regenerated *after* that
-event's surface update, which makes the pipeline bit-comparable to an
-oracle that evaluates the Harris response on the live surface per event.
+``force_batch_size`` is a test hook for the alternating schedule: it fixes
+the batch size and, with size 1, classifies each event against a LUT
+regenerated *after* that event's surface update, which makes the pipeline
+bit-comparable to an oracle that evaluates the Harris response on the live
+surface per event.
 """
 
 from __future__ import annotations
@@ -36,13 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryViolation, InvalidParameter
-from .events import CornerTag, Event, EventStream, SensorGeometry, Tags
+from .errors import InvalidParameter
+from .events import EventStream, SensorGeometry, Tags
 from .harris import HarrisParams, dirty_rects, dirty_tiles, harris_response_map, tile_grid
+from .stats import PipelineStats
 from .surfaces import TosSurface, tos_default_threshold
 
-# histogram bucket upper edges for the event-to-LUT time gap, microseconds
-T_ERR_BUCKETS_US = (1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000)
+WORKER_NAME = "evcorner-lut-worker"  # the dual_thread regeneration thread
 
 
 @dataclass(frozen=True)
@@ -83,30 +88,6 @@ class HarrisLut:
     pixels_regenerated: int = 0  # pixels this generation recomputed
 
 
-@dataclass
-class PipelineStats:
-    events_processed: int = 0
-    lut_generations: int = 0
-    max_batch_size: int = 0
-    pixels_regenerated: int = 0  # summed over generations
-    t_err_histogram: np.ndarray = field(
-        default_factory=lambda: np.zeros(len(T_ERR_BUCKETS_US) + 1, dtype=np.int64)
-    )
-
-    def record_t_err(self, gaps_us: np.ndarray) -> None:
-        idx = np.searchsorted(T_ERR_BUCKETS_US, gaps_us, side="left")
-        self.t_err_histogram += np.bincount(idx, minlength=len(T_ERR_BUCKETS_US) + 1)
-
-
-def classify_event(event: Event, lut: HarrisLut, threshold_tr: float) -> CornerTag:
-    """Tag one event by a constant-time LUT read."""
-    h, w = lut.scores.shape
-    if not (0 <= event.x < w and 0 <= event.y < h):
-        raise GeometryViolation(f"({event.x},{event.y}) outside LUT {w}x{h}")
-    score = float(lut.scores[event.y, event.x])
-    return CornerTag(event, score > threshold_tr, score)
-
-
 def regenerate_lut(
     surface: np.ndarray,
     params: HarrisParams,
@@ -143,18 +124,26 @@ def _read_lut(lut: HarrisLut, chunk: EventStream, threshold_tr: float,
     return score > threshold_tr, score
 
 
-def _empty_lut(geometry: SensorGeometry) -> HarrisLut:
-    # cold start: all-zero scores, so early events are tagged not-corner
-    return HarrisLut(np.zeros((geometry.height, geometry.width)), 0, 0)
+def _no_tags(chunk: EventStream) -> Tags:
+    return Tags.for_stream(chunk, np.zeros(0, bool), np.zeros(0))
 
 
 class LuvHarrisDetector:
-    """Alternating-mode pipeline with a streaming ``process`` interface.
+    """The luvHarris pipeline behind a streaming ``process`` interface;
+    every call treats its events as pending input.
 
-    Every ``process`` call treats its events as pending input: phase 1
-    consumes them (surface updates + LUT reads against the current LUT),
-    then phase 2 regenerates the LUT once. Feeding one large chunk thus
-    amortises the regeneration the same way a saturated live system would.
+    ``alternating``: phase 1 consumes the chunk (surface updates + LUT reads
+    against the current LUT), then phase 2 regenerates the LUT once, so one
+    large chunk amortises a regeneration as a saturated live system would.
+
+    ``dual_thread``: the caller updates the TOS and ORs the chunk's dirty
+    tiles into the pending mask under one lock, so the worker's snapshots
+    land between whole chunks, then tags the chunk by one read of the
+    published LUT. The worker sleeps until tiles are pending (all of them
+    at a cold start), takes the TOS copy and the mask together under the
+    lock, regenerates outside it, and publishes by rebinding ``self.lut``.
+    ``close`` lets it regenerate what is pending first. A worker failure is
+    re-raised once, by the next ``process``, ``close`` or ``reset``.
     """
 
     decision_direction = "greater"
@@ -168,25 +157,56 @@ class LuvHarrisDetector:
     ):
         self.geometry = geometry
         self.config = config or LuvHarrisConfig()
-        if self.config.mode != "alternating":
-            raise InvalidParameter("LuvHarrisDetector runs alternating mode; "
-                                   "use run_pipeline for dual_thread")
-        if force_batch_size is not None and force_batch_size < 1:
-            raise InvalidParameter("force_batch_size must be >= 1")
+        if force_batch_size is not None:
+            if force_batch_size < 1:
+                raise InvalidParameter("force_batch_size must be >= 1")
+            if self.config.mode == "dual_thread":
+                raise InvalidParameter("force_batch_size fixes the alternating schedule; "
+                                       "dual_thread has no batch schedule to fix")
         self.force_batch_size = force_batch_size
         self.tos = TosSurface(geometry, self.config.k_tos, self.config.effective_t_tos())
-        self.lut = _empty_lut(geometry)
+        # cold start: all-zero scores, so early events are tagged not-corner
+        self.lut = HarrisLut(np.zeros((geometry.height, geometry.width)), 0, 0)
         self.stats = PipelineStats()
-        # cost counters for the throughput model (seconds)
-        self.phase1_seconds = 0.0
-        self.phase2_seconds = 0.0
+        # dual_thread state, shared with the worker under _wake's lock
+        self._wake = threading.Condition()
+        self._dirty = np.ones(tile_grid(self.tos.raw.shape), dtype=bool)
+        self._latest_t = 0
+        self._stopping = False
+        self._worker: threading.Thread | None = None
+        self._error: Exception | None = None
+        self._seen_gen = 0
+        self._since_swap = 0
+
+    def __enter__(self) -> "LuvHarrisDetector":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop and join the worker after it regenerates what is pending;
+        re-raise its failure if that was not delivered yet. A later
+        ``process`` starts a new worker."""
+        if self._worker is not None:
+            with self._wake:
+                self._stopping = True
+                self._wake.notify()
+            self._worker.join()
+            self._worker, self._stopping = None, False
+        self._reraise()
 
     def reset(self) -> None:
-        self.__init__(self.geometry, self.config, self.force_batch_size)
+        try:
+            self.close()
+        finally:
+            self.__init__(self.geometry, self.config, self.force_batch_size)
 
     def process(self, chunk: EventStream) -> Tags:
+        if self.config.mode == "dual_thread":
+            return self._hand_over(chunk)
         if len(chunk) == 0:
-            return Tags.for_stream(chunk, np.zeros(0, bool), np.zeros(0))
+            return _no_tags(chunk)
         if self.force_batch_size is None:
             return self._run_batches(chunk, len(chunk), fresh_classify=False)
         return self._run_batches(chunk, self.force_batch_size, fresh_classify=True)
@@ -206,70 +226,40 @@ class LuvHarrisDetector:
             # batch was consumed; fresh: against the one regenerated after it
             parts.append(_read_lut(self.lut if fresh_classify else before, part,
                                    self.config.threshold_tr, self.stats))
-            self.phase1_seconds += t1 - t0 + time.perf_counter() - t2
-            self.phase2_seconds += t2 - t1
-            self.stats.lut_generations += 1
-            self.stats.pixels_regenerated += self.lut.pixels_regenerated
+            self.stats.phase1_s += t1 - t0 + time.perf_counter() - t2
+            self.stats.record_generation(self.lut.pixels_regenerated, t2 - t1)
             self.stats.max_batch_size = max(self.stats.max_batch_size, len(part))
         self.stats.events_processed += len(chunk)
         is_corner, score = zip(*parts)
         return Tags.for_stream(chunk, np.concatenate(is_corner), np.concatenate(score))
 
-    def instrument_counters(self) -> dict:
-        return {
-            "phase1_seconds": self.phase1_seconds,
-            "events": self.stats.events_processed,
-            "phase2_seconds": self.phase2_seconds,
-            "generations": self.stats.lut_generations,
-        }
-
-
-class _DualThreadPipeline:
-    """One event thread (the caller) plus one LUT worker thread.
-
-    The caller applies each ``process`` chunk to the TOS under a short lock,
-    so the worker's snapshots always land between whole events (and between
-    chunks), and ORs the chunk's dirty tiles into the pending mask under the
-    same lock; then it tags the chunk by one read of the published LUT. The
-    worker sleeps until tiles are pending (all of them at a cold start),
-    takes the TOS copy and the pending mask together under the lock,
-    regenerates those tiles outside it, and publishes by rebinding
-    ``self.lut`` — an atomic reference swap, so readers always see exactly
-    one complete generation. ``stop`` lets it regenerate what is still
-    pending first. A worker failure is re-raised in the caller by the next
-    ``process`` call or by ``stop``.
-    """
-
-    def __init__(self, geometry: SensorGeometry, config: LuvHarrisConfig):
-        self.geometry = geometry
-        self.config = config
-        self.tos = TosSurface(geometry, config.k_tos, config.effective_t_tos())
-        self.lut = _empty_lut(geometry)
-        self.lock = threading.Lock()
-        self._wake = threading.Condition(self.lock)
-        self.stats = PipelineStats()
-        self.last_event_t = 0
-        self._dirty = np.ones(tile_grid(self.tos.raw.shape), dtype=bool)
-        self._stopping = False
-        self._worker = threading.Thread(target=self._regen_loop, daemon=True)
-        self._error: Exception | None = None
-        self._seen_gen = 0
-        self._since_swap = 0
-
-    def start(self) -> None:
-        self._worker.start()
-
-    def stop(self) -> None:
-        with self._wake:
-            self._stopping = True
-            self._wake.notify()
-        self._worker.join()
+    def _hand_over(self, chunk: EventStream) -> Tags:
+        """dual_thread phase 1: apply the chunk, mark its tiles pending for
+        the worker, and tag it against the published LUT."""
         self._reraise()
-
-    def _reraise(self) -> None:
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
+        if len(chunk) == 0:
+            return _no_tags(chunk)
+        if self._worker is None:
+            self._worker = threading.Thread(target=self._regen_loop, name=WORKER_NAME,
+                                            daemon=True)
+            self._worker.start()
+        t0 = time.perf_counter()
+        dirty = dirty_tiles(chunk.x, chunk.y, self.tos.raw.shape, self.config.dirty_radius())
+        with self._wake:
+            self.tos.update_many(chunk.x, chunk.y)
+            self._latest_t = int(chunk.t[-1])
+            self._dirty |= dirty
+            self._wake.notify()
+        lut = self.lut  # one generation for the whole chunk, swapped atomically
+        is_corner, score = _read_lut(lut, chunk, self.config.threshold_tr, self.stats)
+        if lut.generation_index != self._seen_gen:
+            self._seen_gen = lut.generation_index
+            self._since_swap = 0
+        self._since_swap += len(chunk)
+        self.stats.max_batch_size = max(self.stats.max_batch_size, self._since_swap)
+        self.stats.events_processed += len(chunk)
+        self.stats.phase1_s += time.perf_counter() - t0
+        return Tags.for_stream(chunk, is_corner, score)
 
     def _regen_loop(self) -> None:
         try:
@@ -281,33 +271,20 @@ class _DualThreadPipeline:
                         return
                     raw = self.tos.raw.copy()
                     dirty, self._dirty = self._dirty, np.zeros_like(self._dirty)
-                    latest = self.last_event_t
+                    latest = self._latest_t
+                t0 = time.perf_counter()
+                # through the module global, so tracing it sees this thread too
                 self.lut = regenerate_lut(raw, self.config.harris, latest, self.lut,
                                           dirty, self.tos.t_tos)
-                self.stats.lut_generations += 1
-                self.stats.pixels_regenerated += self.lut.pixels_regenerated
+                self.stats.record_generation(self.lut.pixels_regenerated,
+                                             time.perf_counter() - t0)
         except Exception as e:
             self._error = e
 
-    def process(self, chunk: EventStream) -> Tags:
-        self._reraise()
-        if len(chunk) == 0:
-            return Tags.for_stream(chunk, np.zeros(0, bool), np.zeros(0))
-        dirty = dirty_tiles(chunk.x, chunk.y, self.tos.raw.shape, self.config.dirty_radius())
-        with self._wake:
-            self.tos.update_many(chunk.x, chunk.y)
-            self.last_event_t = int(chunk.t[-1])
-            self._dirty |= dirty
-            self._wake.notify()
-        lut = self.lut  # one generation for the whole chunk, swapped atomically
-        is_corner, score = _read_lut(lut, chunk, self.config.threshold_tr, self.stats)
-        if lut.generation_index != self._seen_gen:
-            self._seen_gen = lut.generation_index
-            self._since_swap = 0
-        self._since_swap += len(chunk)
-        self.stats.max_batch_size = max(self.stats.max_batch_size, self._since_swap)
-        self.stats.events_processed += len(chunk)
-        return Tags.for_stream(chunk, is_corner, score)
+    def _reraise(self) -> None:
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
 
 
 def run_pipeline(
@@ -319,31 +296,17 @@ def run_pipeline(
     """Run the full pipeline over a recorded stream; one tag per event,
     input order.
 
-    Alternating mode repeats the phase-1/phase-2 cycle per pending batch;
-    offline, "pending" is emulated by slicing the recording into
-    ``batch_window_us`` stream-time windows, so each batch is classified
-    against the LUT refreshed after the previous one. ``force_batch_size``
-    (tests) switches to fixed-size batches classified against the LUT
-    regenerated after their own surface updates.
+    The recording is fed to one ``LuvHarrisDetector`` in ``batch_window_us``
+    stream-time windows, emulating what is pending live: in alternating
+    mode each batch is classified against the LUT refreshed after the
+    previous one. ``force_batch_size`` (tests) feeds the whole stream in
+    one call, which the detector splits into fixed-size batches classified
+    against the LUT regenerated after their own surface updates.
     """
-    config = config or LuvHarrisConfig()
-    if len(stream) == 0:
-        return (
-            Tags.for_stream(stream, np.zeros(0, bool), np.zeros(0)),
-            PipelineStats(),
-        )
-    if config.mode == "alternating":
-        det = LuvHarrisDetector(stream.geometry, config, force_batch_size)
-        if force_batch_size is not None:
-            return det.process(stream), det.stats
-        parts = [det.process(c) for c in stream.chunks_by_time(batch_window_us)]
-        tags = Tags.concat(parts) if len(parts) > 1 else parts[0]
-        return tags, det.stats
-    pipe = _DualThreadPipeline(stream.geometry, config)
-    pipe.start()
-    try:
-        parts = [pipe.process(c) for c in stream.chunks(8192)]
-    finally:
-        pipe.stop()
-    tags = Tags.concat(parts) if len(parts) > 1 else parts[0]
-    return tags, pipe.stats
+    det = LuvHarrisDetector(stream.geometry, config, force_batch_size)
+    chunks = [stream] if force_batch_size is not None else stream.chunks_by_time(batch_window_us)
+    with det:
+        parts = [det.process(c) for c in chunks]
+    if not parts:
+        return _no_tags(stream), det.stats
+    return (Tags.concat(parts) if len(parts) > 1 else parts[0]), det.stats

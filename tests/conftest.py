@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from evcorner import EventStream, SensorGeometry
+from evcorner.luvharris import WORKER_NAME
 
 # acceptance criteria report lines, printed at the end of the run
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []
@@ -18,6 +21,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, description, passed in sorted(ACCEPTANCE_RESULTS):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"[{status}] criterion {number}: {description}")
+
+
+@pytest.fixture(autouse=True)
+def no_lut_worker_left_running():
+    """Fail any test that leaves a dual_thread LUT worker alive: whoever
+    runs a detector must close it."""
+    def workers():
+        return {t for t in threading.enumerate() if t.name == WORKER_NAME}
+
+    before = workers()
+    yield
+    leaked = workers() - before
+    if leaked:
+        pytest.fail(f"{len(leaked)} {WORKER_NAME} thread(s) still running; close the detector")
 
 
 @pytest.fixture

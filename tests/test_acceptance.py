@@ -19,9 +19,7 @@ from evcorner import (
     LuvHarrisDetector,
     SensorGeometry,
     TosSurface,
-    arc_detect,
     binarize_scores,
-    fast_detect,
     fit_throughput_model,
     harris_response_map,
     harris_response_patch,
@@ -208,10 +206,10 @@ def test_criterion_6_fixture_accuracy():
     w90, p90 = wedge_stream(g, 32, 32, 90)
     w270, p270 = wedge_stream(g, 32, 32, 270)
 
-    fast_90 = fast_detect(w90).is_corner[p90].all()
-    fast_270_rejects = not fast_detect(w270).is_corner[p270].any()
-    arc_90 = arc_detect(w90).is_corner[p90].all()
-    arc_270 = arc_detect(w270).is_corner[p270].all()
+    fast_90 = FastDetector(w90.geometry).process(w90).is_corner[p90].all()
+    fast_270_rejects = not FastDetector(w270.geometry).process(w270).is_corner[p270].any()
+    arc_90 = ArcDetector(w90.geometry).process(w90).is_corner[p90].all()
+    arc_270 = ArcDetector(w270.geometry).process(w270).is_corner[p270].all()
 
     # luvharris accepts both corner polarities at a threshold calibrated on
     # the 90-degree fixture
@@ -235,7 +233,7 @@ def test_criterion_6_fixture_accuracy():
     # secondary wave: arc emits more false positives than luvharris
     gs = SensorGeometry(96, 48)
     sec, stragglers = double_edge_secondary_stream(gs)
-    arc_fp = arc_detect(sec).corner_count()
+    arc_fp = ArcDetector(sec.geometry).process(sec).corner_count()
     w90s, p90s = wedge_stream(gs, 48, 24, 90)
     t90s, _ = run_pipeline(w90s, base_cfg, force_batch_size=1)
     thr_s = 0.5 * float(np.median(t90s.score[p90s]))
@@ -246,7 +244,7 @@ def test_criterion_6_fixture_accuracy():
     # salt-and-pepper noise smoke: all detectors conserve events
     noise = salt_pepper_stream(g, 400, seed=3)
     noise_ok = all(
-        len(d(noise)) == len(noise) for d in (fast_detect, arc_detect)
+        len(D(noise.geometry).process(noise)) == len(noise) for D in (FastDetector, ArcDetector)
     )
 
     ok = (fast_90 and fast_270_rejects and arc_90 and arc_270

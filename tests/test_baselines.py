@@ -12,10 +12,7 @@ from evcorner import (
     FastDetector,
     InvalidParameter,
     SensorGeometry,
-    arc_detect,
     decision_parameter_sweep,
-    eharris_detect,
-    fast_detect,
     harris_response_map,
 )
 from evcorner.baselines import CIRCLE3, CIRCLE4, _min_direct_angle, _min_folded_angle
@@ -65,45 +62,45 @@ def test_ring_angles_match_enumeration_oracle(n, lmin, deg):
 
 def test_first_event_is_not_a_corner(geometry):
     s = make_stream(geometry, [(100, 32, 32)])
-    assert fast_detect(s).corner_count() == 0
-    assert arc_detect(s).corner_count() == 0
+    assert FastDetector(s.geometry).process(s).corner_count() == 0
+    assert ArcDetector(s.geometry).process(s).corner_count() == 0
 
 
 def test_wedge_90_accepted_by_both(geometry):
     stream, probes = wedge_stream(geometry, 32, 32, 90)
-    for detect in (fast_detect, arc_detect):
-        tags = detect(stream)
+    for Detector in (FastDetector, ArcDetector):
+        tags = Detector(stream.geometry).process(stream)
         assert tags.is_corner[probes].all()
 
 
 def test_wedge_270_fast_rejects_arc_accepts(geometry):
     stream, probes = wedge_stream(geometry, 32, 32, 270)
-    ft = fast_detect(stream)
-    at = arc_detect(stream)
+    ft = FastDetector(stream.geometry).process(stream)
+    at = ArcDetector(stream.geometry).process(stream)
     assert not ft.is_corner[probes].any()
     assert at.is_corner[probes].all()
 
 
 def test_straight_edge_wavefront_rejected(geometry):
     stream = straight_edge_stream(geometry)
-    for detect in (fast_detect, arc_detect):
-        tags = detect(stream)
+    for Detector in (FastDetector, ArcDetector):
+        tags = Detector(stream.geometry).process(stream)
         assert tags.corner_count() == 0
 
 
 def test_secondary_wave_fools_arc_not_fast():
     g = SensorGeometry(96, 48)
     stream, stragglers = double_edge_secondary_stream(g)
-    at = arc_detect(stream)
-    ft = fast_detect(stream)
+    at = ArcDetector(stream.geometry).process(stream)
+    ft = FastDetector(stream.geometry).process(stream)
     assert at.is_corner[stragglers].sum() > len(stragglers) * 0.5
     assert at.corner_count() > ft.corner_count()
 
 
 def test_fast_acceptances_subset_of_arc(geometry):
     stream = random_stream(geometry, 4000, seed=17)
-    ft = fast_detect(stream)
-    at = arc_detect(stream)
+    ft = FastDetector(stream.geometry).process(stream)
+    at = ArcDetector(stream.geometry).process(stream)
     assert not np.any(ft.is_corner & ~at.is_corner)
     # scores agree wherever FAST found an arc: the folded angle can only be
     # equal or smaller
@@ -113,16 +110,16 @@ def test_fast_acceptances_subset_of_arc(geometry):
 
 def test_border_events_not_corner(geometry):
     s = make_stream(geometry, [(1, 0, 0), (2, 63, 63), (3, 2, 30)])
-    for detect in (fast_detect, arc_detect):
-        tags = detect(s)
+    for Detector in (FastDetector, ArcDetector):
+        tags = Detector(s.geometry).process(s)
         assert tags.corner_count() == 0
         assert not np.isfinite(tags.score).any()
 
 
 def test_detectors_preserve_order_and_count(geometry):
     stream = random_stream(geometry, 2000, seed=23)
-    for detect in (fast_detect, arc_detect, eharris_detect):
-        tags = detect(stream)
+    for Detector in (FastDetector, ArcDetector, EHarrisDetector):
+        tags = Detector(stream.geometry).process(stream)
         assert len(tags) == len(stream)
         assert np.array_equal(tags.t, stream.t)
         assert np.array_equal(tags.x, stream.x)

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import numpy as np
@@ -15,8 +16,10 @@ from evcorner import (
     fit_throughput_model,
     measure_throughput,
     paced_replay,
+    write_stream,
 )
 from evcorner.bench import run_detector_timed
+from evcorner.cli import main
 from evcorner.synth import random_stream
 
 
@@ -181,3 +184,24 @@ def test_throughput_excludes_loading(tmp_path):
     load_s = time.perf_counter() - t0
     res = measure_throughput(lambda: PassThroughDetector(g), loaded, runs=1, budget_s=0.3)
     assert load_s >= 0 and res.median_rate > 0
+
+
+def test_dual_thread_measurements_join_their_workers(tmp_path):
+    g = SensorGeometry(32, 32)
+    stream = random_stream(g, 20_000, duration_us=200_000, seed=29)
+    factory = lambda: LuvHarrisDetector(g, LuvHarrisConfig(mode="dual_thread"))
+    before = threading.active_count()
+    measure_throughput(factory, stream, runs=2, budget_s=0.25)
+    assert threading.active_count() == before
+    model = fit_throughput_model(factory, stream)
+    assert model.v_events == len(stream) and model.w_generations >= 1
+    assert threading.active_count() == before
+    run_detector_timed(factory, stream)
+    assert threading.active_count() == before
+    src = tmp_path / "events.csv"
+    write_stream(stream, src)
+    conf = tmp_path / "dual.conf"
+    conf.write_text("mode = dual_thread\n")
+    assert main(["bench", "--in", str(src), "--detectors", "luvharris", "--mode", "delay",
+                 "--config", str(conf), "--out-prefix", f"{tmp_path}/"]) == 0
+    assert threading.active_count() == before

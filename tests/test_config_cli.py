@@ -46,6 +46,7 @@ def test_build_detector_by_name():
     for name in ("luvharris", "eharris", "fast", "arc"):
         det = build_detector(name, g, {"threshold_tr": 1.0})
         assert hasattr(det, "process")
+    assert build_detector("luvharris", g, {"mode": "dual_thread"}).config.mode == "dual_thread"
     with pytest.raises(InvalidParameter):
         build_detector("nope", g)
 
@@ -146,6 +147,19 @@ def test_cli_dual_thread_worker_failure_is_reported(tmp_path, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_detect_dual_thread_tags_every_event_in_order(tmp_path):
+    stream = random_stream(SensorGeometry(48, 48), 20_000, seed=9)
+    src = _write_events(tmp_path, stream)
+    conf = tmp_path / "dual.conf"
+    conf.write_text("mode = dual_thread\n")
+    out = tmp_path / "tags.csv"
+    assert main(["detect", "--in", str(src), "--config", str(conf), "--out", str(out)]) == 0
+    tags = read_tags(out)
+    assert len(tags) == len(stream)
+    assert np.array_equal(tags.t, stream.t)
+    assert np.array_equal(tags.x, stream.x) and np.array_equal(tags.y, stream.y)
 
 
 def test_cli_filter_then_detect_output_is_golden(tmp_path):

@@ -5,51 +5,60 @@ import numpy as np
 import pytest
 
 from evcorner import (
-    Event,
     EventStream,
     GeometryViolation,
     HarrisLut,
     HarrisParams,
     ImageTooSmall,
+    InvalidParameter,
     LuvHarrisConfig,
     LuvHarrisDetector,
+    PipelineStats,
     SensorGeometry,
     TosSurface,
-    classify_event,
     harris_response_map,
     regenerate_lut,
     run_pipeline,
 )
-from evcorner.luvharris import _DualThreadPipeline
+from evcorner.luvharris import _read_lut
 from evcorner.synth import moving_corner_stream, random_stream, wedge_stream
 
 from oracles import IdealHarrisOracle, WindowedTos, naive_tos_apply, naive_tos_new
 
 
+def _read(lut, events, threshold_tr):
+    """Tag (t, x, y) events by one ``_read_lut`` call on a stream of the
+    LUT's size."""
+    h, w = lut.scores.shape
+    t, x, y = (np.array(c) for c in zip(*events))
+    stream = EventStream.from_arrays(SensorGeometry(w, h), t, x, y, np.ones(len(t)))
+    return _read_lut(lut, stream, threshold_tr, PipelineStats())
+
+
 def test_classify_cold_start_not_corner():
     lut = HarrisLut(np.zeros((8, 8)), 0, 0)
-    tag = classify_event(Event(1, 3, 4, True), lut, 0.01)
-    assert tag.is_corner is False and tag.score == 0.0
+    is_corner, score = _read(lut, [(1, 3, 4)], 0.01)
+    assert is_corner.tolist() == [False] and score.tolist() == [0.0]
 
 
 def test_classify_reads_lut_cell():
     scores = np.zeros((8, 8))
     scores[4, 3] = 5.0
     lut = HarrisLut(scores, 10, 1)
-    tag = classify_event(Event(11, 3, 4, True), lut, 1.0)
-    assert tag.is_corner is True and tag.score == 5.0
+    is_corner, score = _read(lut, [(11, 3, 4)], 1.0)
+    assert is_corner.tolist() == [True] and score.tolist() == [5.0]
+    # an event outside the LUT's frame cannot reach the read
     with pytest.raises(GeometryViolation):
-        classify_event(Event(1, 8, 0, True), lut, 1.0)
+        EventStream.from_arrays(SensorGeometry(8, 8), [1], [8], [0], [1])
 
 
 def test_classify_threshold_sweep_monotone():
     rng = np.random.default_rng(0)
     lut = HarrisLut(rng.normal(0, 1, (16, 16)), 0, 1)
-    events = [Event(i, int(rng.integers(0, 16)), int(rng.integers(0, 16)), True)
-              for i in range(200)]
+    events = [(i, int(rng.integers(0, 16)), int(rng.integers(0, 16))) for i in range(200)]
     counts = []
     for thr in np.linspace(-2, 2, 9):
-        counts.append(sum(classify_event(e, lut, thr).is_corner for e in events))
+        counts.append(int(_read(lut, events, thr)[0].sum()))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -160,11 +169,10 @@ def test_dual_thread_luts_are_event_consistent():
     n, chunk = 4000, 512
     rnd = random_stream(g, n, seed=13)
     stream = EventStream.from_arrays(g, np.arange(1, n + 1), rnd.x, rnd.y, rnd.p)
-    pipe = _DualThreadPipeline(g, cfg)
+    pipe = LuvHarrisDetector(g, cfg)
     seen = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the two threads finely
-    pipe.start()
     try:
         for part in stream.chunks(chunk):
             pipe.process(part)
@@ -175,7 +183,7 @@ def test_dual_thread_luts_are_event_consistent():
                 time.sleep(0.001)
             seen[pipe.lut.generation_index] = pipe.lut
     finally:
-        pipe.stop()
+        pipe.close()
         sys.setswitchinterval(interval)
     seen.pop(0, None)  # the cold-start LUT was never generated
     assert {lut.generated_at for lut in seen.values()} >= set(range(chunk, n, chunk)) | {n}
@@ -200,13 +208,20 @@ def test_dual_thread_reraises_worker_failure():
     stream = random_stream(g, 2000, seed=1)
     with pytest.raises(ImageTooSmall):
         run_pipeline(stream, LuvHarrisConfig(mode="dual_thread"))
-    pipe = _DualThreadPipeline(g, LuvHarrisConfig(mode="dual_thread"))
-    pipe.start()
+    pipe = LuvHarrisDetector(g, LuvHarrisConfig(mode="dual_thread"))
+    pipe.process(stream.slice(0, 1))  # starts the worker
     pipe._worker.join(timeout=10)
     assert not pipe._worker.is_alive()  # the worker has died
     with pytest.raises(ImageTooSmall):
         pipe.process(stream)
-    pipe.stop()  # the error was delivered once
+    pipe.close()  # the error was delivered once
+
+
+def test_force_batch_size_rejects_dual_thread():
+    # the hook fixes the alternating schedule; dual_thread has none to fix
+    with pytest.raises(InvalidParameter):
+        LuvHarrisDetector(SensorGeometry(16, 16), LuvHarrisConfig(mode="dual_thread"),
+                          force_batch_size=8)
 
 
 def test_dual_thread_publishes_many_generations():
@@ -274,8 +289,7 @@ def test_dual_thread_dirty_tile_luts_equal_full_map_of_naive_tos():
     cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
     stream, _ = moving_corner_stream(g, start=(8, 8), n_steps=134)
     ref = WindowedTos(150, 140, cfg.k_tos, cfg.effective_t_tos())
-    pipe = _DualThreadPipeline(g, cfg)
-    pipe.start()
+    pipe = LuvHarrisDetector(g, cfg)
     try:
         for part in stream.chunks(97):
             pipe.process(part)
@@ -286,7 +300,7 @@ def test_dual_thread_dirty_tile_luts_equal_full_map_of_naive_tos():
                 time.sleep(0.001)
             assert np.array_equal(pipe.lut.scores, harris_response_map(ref.grid, cfg.harris))
     finally:
-        pipe.stop()
+        pipe.close()
 
 
 def test_regenerated_pixels_follow_the_dirty_area():
