@@ -73,7 +73,6 @@ from .luvharris import (
     LuvHarrisConfig,
     LuvHarrisDetector,
     regenerate_lut,
-    run_pipeline,
 )
 from .render import export_plot_data, read_pgm, render_tos, render_trails, save_frames, write_pgm
 from .stats import PipelineStats

@@ -58,6 +58,9 @@ CIRCLE4 = (
 
 NO_ARC = math.inf  # score of an event with no acceptable arc at any angle
 
+WINDOW_US = 10_000  # stream time per process_chunked batch
+MAX_CALL_EVENTS = 65_536  # largest process call of process_chunked and measure_throughput
+
 
 @dataclass(frozen=True)
 class ArcRingConfig:
@@ -167,9 +170,6 @@ class _RingDetector:
         self._margin = self.config.outer_radius
         self.stats = PipelineStats()
 
-    def reset(self) -> None:
-        self.__init__(self.geometry, self.config)
-
     def _ring_angle(self, vals, n: int, lmin: int, deg_per: float) -> float:
         raise NotImplementedError
 
@@ -251,9 +251,6 @@ class EHarrisDetector:
         self.evaluator = PatchEvaluator((geometry.height, geometry.width), self.config.harris)
         self.stats = PipelineStats()
 
-    def reset(self) -> None:
-        self.__init__(self.geometry, self.config)
-
     def process(self, chunk: EventStream) -> Tags:
         n = len(chunk)
         is_corner = np.empty(n, dtype=bool)
@@ -284,17 +281,16 @@ class EHarrisDetector:
         return Tags.for_stream(chunk, is_corner, score)
 
 
-def process_chunked(detector, stream: EventStream, window_us: int = 10_000,
-                    max_chunk_events: int = 65_536) -> Tags:
+def process_chunked(detector, stream: EventStream) -> Tags:
     """Run a detector over a stream batched by stream time.
 
-    Each 10 ms window is one input batch, emulating the backlog a live
-    replay would hand over; dense windows are split so batches stay
-    bounded. One tag per event, in input order.
+    Each ``WINDOW_US`` window is one input batch, emulating the backlog a
+    live replay would hand over; dense windows are split into calls of at
+    most ``MAX_CALL_EVENTS``. One tag per event, in input order.
     """
     parts = []
-    for tc in stream.chunks_by_time(window_us):
-        for c in tc.chunks(max_chunk_events):
+    for tc in stream.chunks_by_time(WINDOW_US):
+        for c in tc.chunks(MAX_CALL_EVENTS):
             parts.append(detector.process(c))
     if not parts:
         return Tags.for_stream(stream, np.zeros(0, bool), np.zeros(0))

@@ -17,8 +17,10 @@ Three measurements, mirroring how a live system is judged:
   ``q1 * V + q2 * W`` from the detector's ``stats`` (a ``PipelineStats``);
   detectors without one are rejected.
 
-Every function here closes the detectors it runs (see :func:`closing`), so a
-``dual_thread`` luvharris worker never outlives its measurement.
+The throughput and model functions take a zero-argument factory and build a
+fresh detector for every run; every function here closes the detectors it
+runs (see :func:`closing`), so a ``dual_thread`` luvharris worker never
+outlives its measurement.
 """
 
 from __future__ import annotations
@@ -33,11 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstrumentationUnavailable, StreamTooShort
+from .baselines import MAX_CALL_EVENTS
+from .errors import InstrumentationUnavailable, InvalidParameter, StreamTooShort
 from .events import EventStream, SensorGeometry, Tags
 from .stats import PipelineStats
 
 MIN_MEASURE_SECONDS = 0.2
+# events per process call in fit_throughput_model and run_detector_timed:
+# small enough that a model stream spans many LUT generations
+MODEL_CHUNK_EVENTS = 8192
 
 
 @dataclass
@@ -87,9 +93,6 @@ class PassThroughDetector:
         self.geometry = geometry
         self.stats = PipelineStats()
 
-    def reset(self) -> None:
-        self.stats = PipelineStats()
-
     def process(self, chunk: EventStream) -> Tags:
         t0 = time.perf_counter()
         n = len(chunk)
@@ -97,13 +100,6 @@ class PassThroughDetector:
         self.stats.phase1_s += time.perf_counter() - t0
         self.stats.events_processed += n
         return out
-
-
-def _fresh(detector_or_factory):
-    if callable(detector_or_factory) and not hasattr(detector_or_factory, "process"):
-        return detector_or_factory()
-    detector_or_factory.reset()
-    return detector_or_factory
 
 
 @contextmanager
@@ -134,22 +130,23 @@ def measure_throughput(
     stream: EventStream,
     runs: int = 5,
     budget_s: float = 4.0,
-    chunk_events: int = 65_536,
 ) -> ThroughputResult:
     """Median events/second over ``runs`` saturated replays of ``stream``.
 
-    ``detector_factory`` is either a zero-argument callable building a fresh
-    detector, or a detector instance with ``reset``. The stream is cycled
-    with timestamps re-based per pass so surface clocks stay monotone.
+    Each run builds a fresh detector with ``detector_factory`` and feeds it
+    calls of ``MAX_CALL_EVENTS``. The stream is cycled with timestamps
+    re-based per pass so surface clocks stay monotone.
     """
+    if runs < 1:
+        raise InvalidParameter(f"runs must be >= 1, got {runs}")
     if len(stream) == 0:
         raise StreamTooShort("empty stream")
-    chunks = list(stream.chunks(chunk_events))
+    chunks = list(stream.chunks(MAX_CALL_EVENTS))
     span = int(stream.t[-1]) + 1
     rates = []
     name = ""
     for _ in range(runs):
-        det = _fresh(detector_factory)
+        det = detector_factory()
         name = getattr(det, "name", type(det).__name__)
         processed = 0
         offset = 0
@@ -185,7 +182,7 @@ def paced_replay(
 ) -> DelayTrace:
     """Replay at recorded timestamps and trace per-packet completion delay."""
     if packet_us <= 0:
-        raise ValueError("packet_us must be positive")
+        raise InvalidParameter(f"packet_us must be positive, got {packet_us}")
     t = stream.t.astype(np.int64)
     start_us = int(t[0]) if len(stream) else 0
     packets = []  # (end_stream_offset_us, event slice)
@@ -274,14 +271,15 @@ def paced_replay(
 
 
 def fit_throughput_model(detector_factory, stream: EventStream) -> ThroughputModel:
-    """Measure per-event and per-generation costs from an instrumented run."""
-    det = _fresh(detector_factory)
+    """Measure per-event and per-generation costs from one run of a fresh
+    detector fed ``MODEL_CHUNK_EVENTS`` at a time."""
+    det = detector_factory()
     if not hasattr(det, "stats"):
         raise InstrumentationUnavailable(
             f"{type(det).__name__} exposes no phase counters"
         )
     with _gc_paused(), closing(det):
-        for c in stream.chunks(65_536):
+        for c in stream.chunks(MODEL_CHUNK_EVENTS):
             det.process(c)
     v, w = det.stats.events_processed, det.stats.lut_generations
     if v == 0:
@@ -291,12 +289,13 @@ def fit_throughput_model(detector_factory, stream: EventStream) -> ThroughputMod
     return ThroughputModel(q1, q2, v, w)
 
 
-def run_detector_timed(detector_factory, stream: EventStream, chunk_events: int = 65_536):
-    """Process a stream once; returns (seconds, events, generations)."""
-    det = _fresh(detector_factory)
+def run_detector_timed(detector_factory, stream: EventStream):
+    """Process a stream once, ``MODEL_CHUNK_EVENTS`` at a time, on a fresh
+    detector; returns (seconds, events, generations)."""
+    det = detector_factory()
     with _gc_paused(), closing(det):
         t0 = time.perf_counter()
-        for c in stream.chunks(chunk_events):
+        for c in stream.chunks(MODEL_CHUNK_EVENTS):
             det.process(c)
         elapsed = time.perf_counter() - t0
     gens = det.stats.lut_generations if hasattr(det, "stats") else 0

@@ -17,7 +17,7 @@ from . import __version__
 from .baselines import decision_parameter_sweep, process_chunked
 from .bench import closing, measure_throughput, paced_replay
 from .config import DETECTOR_NAMES, build_detector, load_config
-from .errors import EvcError
+from .errors import EvcError, InvalidParameter
 from .evaluate import load_ground_truth, pr_curve
 from .events import read_stream, read_tags, write_stream, write_tags
 from .filters import refractory_filter, sp_filter
@@ -84,6 +84,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.mode == "tos" and not (args.infile and args.out):
+        raise InvalidParameter("render --mode tos needs --in and --out")
+    if args.mode == "trails" and not args.tags:
+        raise InvalidParameter("render --mode trails needs --tags")
     if args.mode == "tos":
         stream = _load(args.infile, ts_unit=args.ts_unit)
         surface = TosSurface(stream.geometry, k_tos=args.k_tos)
@@ -187,7 +191,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except EvcError as e:
+    except (EvcError, OSError) as e:  # OSError: a file that cannot be read or written
         print(f"error: {e}", file=sys.stderr)
         return 1
 

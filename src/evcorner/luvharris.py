@@ -13,24 +13,19 @@ splices them into a copy of the previous scores; the result equals the
 full-frame map bit for bit.
 
 ``LuvHarrisDetector`` runs either ``LuvHarrisConfig.mode``. In
-``alternating`` mode the two phases take turns on the caller's thread, each
-pass consuming the whole pending batch, so a batch is tagged against a
-fresh LUT but waits about one regeneration. In ``dual_thread`` mode the
-caller's thread runs phase 1 on each chunk while a worker thread (named
+``alternating`` mode the two phases take turns on the caller's thread: each
+``process`` call updates the TOS with the whole chunk, regenerates the LUT
+once, and tags the chunk against the LUT from before the update, the one
+regenerated after the previous call. In ``dual_thread`` mode the caller's
+thread runs phase 1 on each chunk while a worker thread (named
 ``WORKER_NAME``, started by the first ``process`` call) regenerates
 whenever tiles are pending, publishing LUTs by atomic whole-object swap, so
 a chunk is tagged without waiting but against an older LUT. ``close()``
-(or leaving a ``with`` block) and ``reset()`` join the worker.
+(or leaving a ``with`` block) joins the worker.
 
-The LUT a batch is classified against was generated from an earlier TOS
-state; staleness grows with batch size and only degrades accuracy, never
+The LUT a chunk is classified against was generated from an earlier TOS
+state; staleness grows with chunk size and only degrades accuracy, never
 corrupts ordering (every event yields exactly one tag, in input order).
-
-``force_batch_size`` is a test hook for the alternating schedule: it fixes
-the batch size and, with size 1, classifies each event against a LUT
-regenerated *after* that event's surface update, which makes the pipeline
-bit-comparable to an oracle that evaluates the Harris response on the live
-surface per event.
 """
 
 from __future__ import annotations
@@ -132,9 +127,10 @@ class LuvHarrisDetector:
     """The luvHarris pipeline behind a streaming ``process`` interface;
     every call treats its events as pending input.
 
-    ``alternating``: phase 1 consumes the chunk (surface updates + LUT reads
-    against the current LUT), then phase 2 regenerates the LUT once, so one
-    large chunk amortises a regeneration as a saturated live system would.
+    ``alternating``: phase 1 updates the TOS with the chunk, phase 2
+    regenerates the LUT once, and the chunk is tagged against the LUT from
+    before the update, so one large chunk amortises a regeneration as a
+    saturated live system would.
 
     ``dual_thread``: the caller updates the TOS and ORs the chunk's dirty
     tiles into the pending mask under one lock, so the worker's snapshots
@@ -143,27 +139,15 @@ class LuvHarrisDetector:
     at a cold start), takes the TOS copy and the mask together under the
     lock, regenerates outside it, and publishes by rebinding ``self.lut``.
     ``close`` lets it regenerate what is pending first. A worker failure is
-    re-raised once, by the next ``process``, ``close`` or ``reset``.
+    re-raised once, by the next ``process`` or ``close``.
     """
 
     decision_direction = "greater"
     name = "luvharris"
 
-    def __init__(
-        self,
-        geometry: SensorGeometry,
-        config: LuvHarrisConfig | None = None,
-        force_batch_size: int | None = None,
-    ):
+    def __init__(self, geometry: SensorGeometry, config: LuvHarrisConfig | None = None):
         self.geometry = geometry
         self.config = config or LuvHarrisConfig()
-        if force_batch_size is not None:
-            if force_batch_size < 1:
-                raise InvalidParameter("force_batch_size must be >= 1")
-            if self.config.mode == "dual_thread":
-                raise InvalidParameter("force_batch_size fixes the alternating schedule; "
-                                       "dual_thread has no batch schedule to fix")
-        self.force_batch_size = force_batch_size
         self.tos = TosSurface(geometry, self.config.k_tos, self.config.effective_t_tos())
         # cold start: all-zero scores, so early events are tagged not-corner
         self.lut = HarrisLut(np.zeros((geometry.height, geometry.width)), 0, 0)
@@ -196,42 +180,26 @@ class LuvHarrisDetector:
             self._worker, self._stopping = None, False
         self._reraise()
 
-    def reset(self) -> None:
-        try:
-            self.close()
-        finally:
-            self.__init__(self.geometry, self.config, self.force_batch_size)
-
     def process(self, chunk: EventStream) -> Tags:
         if self.config.mode == "dual_thread":
             return self._hand_over(chunk)
         if len(chunk) == 0:
             return _no_tags(chunk)
-        if self.force_batch_size is None:
-            return self._run_batches(chunk, len(chunk), fresh_classify=False)
-        return self._run_batches(chunk, self.force_batch_size, fresh_classify=True)
-
-    def _run_batches(self, chunk: EventStream, batch: int, fresh_classify: bool) -> Tags:
-        parts = []
-        for part in chunk.chunks(batch):
-            t0 = time.perf_counter()
-            self.tos.update_many(part.x, part.y)
-            t1 = time.perf_counter()
-            before = self.lut
-            dirty = dirty_tiles(part.x, part.y, self.tos.raw.shape, self.config.dirty_radius())
-            self.lut = regenerate_lut(self.tos.raw, self.config.harris, int(part.t[-1]),
-                                      before, dirty, self.tos.t_tos)
-            t2 = time.perf_counter()
-            # stream-faithful: tag against the LUT that existed while this
-            # batch was consumed; fresh: against the one regenerated after it
-            parts.append(_read_lut(self.lut if fresh_classify else before, part,
-                                   self.config.threshold_tr, self.stats))
-            self.stats.phase1_s += t1 - t0 + time.perf_counter() - t2
-            self.stats.record_generation(self.lut.pixels_regenerated, t2 - t1)
-            self.stats.max_batch_size = max(self.stats.max_batch_size, len(part))
+        t0 = time.perf_counter()
+        self.tos.update_many(chunk.x, chunk.y)
+        t1 = time.perf_counter()
+        before = self.lut
+        dirty = dirty_tiles(chunk.x, chunk.y, self.tos.raw.shape, self.config.dirty_radius())
+        self.lut = regenerate_lut(self.tos.raw, self.config.harris, int(chunk.t[-1]),
+                                  before, dirty, self.tos.t_tos)
+        t2 = time.perf_counter()
+        # tag against the LUT that existed while this chunk was consumed
+        is_corner, score = _read_lut(before, chunk, self.config.threshold_tr, self.stats)
+        self.stats.phase1_s += t1 - t0 + time.perf_counter() - t2
+        self.stats.record_generation(self.lut.pixels_regenerated, t2 - t1)
+        self.stats.max_batch_size = max(self.stats.max_batch_size, len(chunk))
         self.stats.events_processed += len(chunk)
-        is_corner, score = zip(*parts)
-        return Tags.for_stream(chunk, np.concatenate(is_corner), np.concatenate(score))
+        return Tags.for_stream(chunk, is_corner, score)
 
     def _hand_over(self, chunk: EventStream) -> Tags:
         """dual_thread phase 1: apply the chunk, mark its tiles pending for
@@ -285,28 +253,3 @@ class LuvHarrisDetector:
         error, self._error = self._error, None
         if error is not None:
             raise error
-
-
-def run_pipeline(
-    stream: EventStream,
-    config: LuvHarrisConfig | None = None,
-    force_batch_size: int | None = None,
-    batch_window_us: int = 10_000,
-) -> tuple[Tags, PipelineStats]:
-    """Run the full pipeline over a recorded stream; one tag per event,
-    input order.
-
-    The recording is fed to one ``LuvHarrisDetector`` in ``batch_window_us``
-    stream-time windows, emulating what is pending live: in alternating
-    mode each batch is classified against the LUT refreshed after the
-    previous one. ``force_batch_size`` (tests) feeds the whole stream in
-    one call, which the detector splits into fixed-size batches classified
-    against the LUT regenerated after their own surface updates.
-    """
-    det = LuvHarrisDetector(stream.geometry, config, force_batch_size)
-    chunks = [stream] if force_batch_size is not None else stream.chunks_by_time(batch_window_us)
-    with det:
-        parts = [det.process(c) for c in chunks]
-    if not parts:
-        return _no_tags(stream), det.stats
-    return (Tags.concat(parts) if len(parts) > 1 else parts[0]), det.stats

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from evcorner import EventStream, SensorGeometry
+from evcorner import EventStream, LuvHarrisDetector, SensorGeometry, process_chunked
 from evcorner.luvharris import WORKER_NAME
 
 # acceptance criteria report lines, printed at the end of the run
@@ -49,3 +49,11 @@ def make_stream(geometry, events):
     y = np.array([e[2] for e in events], dtype=np.int64)
     p = np.array([e[3] if len(e) > 3 else 1 for e in events], dtype=np.uint8)
     return EventStream.from_arrays(geometry, t, x, y, p)
+
+
+def luvharris_run(stream, config):
+    """Run a luvHarris detector over a recorded stream the way the CLI
+    does; returns (tags, stats)."""
+    with LuvHarrisDetector(stream.geometry, config) as det:
+        tags = process_chunked(det, stream)
+    return tags, det.stats

@@ -2,7 +2,9 @@
 
 Everything here is written directly from first principles (full-grid
 rewalks, literal kernel tables, exhaustive enumeration, pairwise scans) so
-it shares no shortcuts with the library paths it checks.
+it shares no shortcuts with the library paths it checks. The one exception,
+``FreshLutDetector``, drives the library detector on the ideal oracle's
+read schedule rather than reimplementing it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from evcorner import FormatError, PatchEvaluator, SensorGeometry
+from evcorner import FormatError, LuvHarrisDetector, PatchEvaluator, SensorGeometry, Tags
 from evcorner.events import CSV_MAGIC, TAGS_MAGIC, _parse_header, format_score
 
 # --- threshold-ordinal surface: full-grid rewalk per event ----------------
@@ -341,3 +343,33 @@ class IdealHarrisOracle:
             score[i] = r
             is_corner[i] = r > self.threshold
         return is_corner, score
+
+
+# --- fresh-LUT read schedule over the library detector ----------------------
+
+class FreshLutDetector:
+    """An alternating luvHarris detector fed ``batch``-event calls, with
+    each batch scored from the LUT regenerated *after* its own surface
+    update rather than the one before it. At batch 1 that is the ideal
+    oracle's schedule; larger batches give a controlled staleness.
+    Detector-shaped: ``process``, ``stats`` and ``decision_direction``.
+    """
+
+    decision_direction = "greater"
+
+    def __init__(self, geometry: SensorGeometry, config, batch: int):
+        assert config.mode == "alternating" and batch >= 1
+        self.det = LuvHarrisDetector(geometry, config)
+        self.batch = batch
+
+    @property
+    def stats(self):
+        return self.det.stats
+
+    def process(self, chunk):
+        scores = [np.zeros(0)]
+        for part in chunk.chunks(self.batch):
+            self.det.process(part)
+            scores.append(self.det.lut.scores[part.y, part.x])
+        score = np.concatenate(scores)
+        return Tags.for_stream(chunk, score > self.det.config.threshold_tr, score)

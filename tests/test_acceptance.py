@@ -27,7 +27,6 @@ from evcorner import (
     paced_replay,
     pr_curve,
     refractory_filter,
-    run_pipeline,
     sobel_derivatives,
     sp_filter,
 )
@@ -45,6 +44,7 @@ from evcorner.synth import (
 
 from conftest import make_stream, record_criterion
 from oracles import (
+    FreshLutDetector,
     IdealHarrisOracle,
     brute_refractory,
     brute_sp,
@@ -62,7 +62,7 @@ def test_criterion_1_oracle_equivalence():
     worst_rel = 0.0
     for seed in range(20):
         stream = random_stream(g, 1000, duration_us=200_000, seed=100 + seed)
-        tags, _ = run_pipeline(stream, cfg, force_batch_size=1)
+        tags = FreshLutDetector(g, cfg, 1).process(stream)
         want_c, want_s = IdealHarrisOracle(g, cfg).classify(stream)
         mismatches += int(np.count_nonzero(tags.is_corner != want_c))
         rel = np.abs(tags.score - want_s) / np.maximum(1.0, np.abs(want_s))
@@ -214,11 +214,11 @@ def test_criterion_6_fixture_accuracy():
     # luvharris accepts both corner polarities at a threshold calibrated on
     # the 90-degree fixture
     base_cfg = LuvHarrisConfig(threshold_tr=0.0)
-    t90, _ = run_pipeline(w90, base_cfg, force_batch_size=1)
+    t90 = FreshLutDetector(g, base_cfg, 1).process(w90)
     thr = 0.5 * float(np.median(t90.score[p90]))
     cfg = LuvHarrisConfig(threshold_tr=thr)
     luv_90 = bool((t90.score[p90] > thr).all())
-    t270, _ = run_pipeline(w270, cfg, force_batch_size=1)
+    t270 = FreshLutDetector(g, cfg, 1).process(w270)
     luv_270 = bool(t270.is_corner[p270].all())
 
     # straight edges score negative
@@ -235,9 +235,9 @@ def test_criterion_6_fixture_accuracy():
     sec, stragglers = double_edge_secondary_stream(gs)
     arc_fp = ArcDetector(sec.geometry).process(sec).corner_count()
     w90s, p90s = wedge_stream(gs, 48, 24, 90)
-    t90s, _ = run_pipeline(w90s, base_cfg, force_batch_size=1)
+    t90s = FreshLutDetector(gs, base_cfg, 1).process(w90s)
     thr_s = 0.5 * float(np.median(t90s.score[p90s]))
-    luv_sec, _ = run_pipeline(sec, LuvHarrisConfig(threshold_tr=thr_s), force_batch_size=64)
+    luv_sec = FreshLutDetector(gs, LuvHarrisConfig(threshold_tr=thr_s), 64).process(sec)
     luv_fp = luv_sec.corner_count()
     secondary_ok = arc_fp > luv_fp and arc_fp > 0
 
@@ -291,9 +291,7 @@ def test_criterion_7_filter_oracles():
 @pytest.mark.wallclock
 def test_criterion_8_throughput_model_fit():
     def factory_for(g):
-        return lambda: LuvHarrisDetector(
-            g, LuvHarrisConfig(threshold_tr=1e12), force_batch_size=8192
-        )
+        return lambda: LuvHarrisDetector(g, LuvHarrisConfig(threshold_tr=1e12))
 
     g1 = SensorGeometry(128, 128)
     g2 = SensorGeometry(640, 480)
@@ -307,8 +305,7 @@ def test_criterion_8_throughput_model_fit():
         key=lambda m: m.q1_cost_ns,
     )
     measured, v, w = min(
-        (run_detector_timed(factory_for(g1), holdout, chunk_events=8192)
-         for _ in range(3)),
+        (run_detector_timed(factory_for(g1), holdout) for _ in range(3)),
         key=lambda r: r[0],
     )
     predicted = model.predicted_seconds(v, w)

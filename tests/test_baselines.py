@@ -12,10 +12,19 @@ from evcorner import (
     FastDetector,
     InvalidParameter,
     SensorGeometry,
+    Tags,
     decision_parameter_sweep,
     harris_response_map,
+    process_chunked,
 )
-from evcorner.baselines import CIRCLE3, CIRCLE4, _min_direct_angle, _min_folded_angle
+from evcorner.baselines import (
+    CIRCLE3,
+    CIRCLE4,
+    MAX_CALL_EVENTS,
+    WINDOW_US,
+    _min_direct_angle,
+    _min_folded_angle,
+)
 from evcorner.synth import (
     double_edge_secondary_stream,
     moving_corner_stream,
@@ -228,3 +237,66 @@ def test_arc_sweep_angles_strict_to_loose(geometry):
 def test_sweep_rejects_bad_n_points(geometry):
     with pytest.raises(InvalidParameter):
         decision_parameter_sweep(FastDetector(geometry), random_stream(geometry, 10), 1)
+
+
+class _RecordingDetector:
+    """Keeps every chunk it is handed and scores each event by its
+    timestamp, so the returned tags show their order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def process(self, chunk):
+        self.calls.append(chunk)
+        return Tags.for_stream(chunk, np.zeros(len(chunk), bool), chunk.t.astype(float))
+
+
+def _stream_at(g, t, seed=0):
+    rng = np.random.default_rng(seed)
+    n = len(t)
+    return EventStream.from_arrays(g, t, rng.integers(0, g.width, n),
+                                   rng.integers(0, g.height, n), np.ones(n))
+
+
+def _assert_one_tag_per_event_in_order(tags, stream):
+    assert len(tags) == len(stream)
+    assert np.array_equal(tags.t, stream.t) and np.array_equal(tags.score, stream.t)
+    assert np.array_equal(tags.x, stream.x) and np.array_equal(tags.y, stream.y)
+
+
+def test_process_chunked_splits_a_dense_window_into_bounded_calls():
+    g = SensorGeometry(16, 16)
+    n = 2 * MAX_CALL_EVENTS + 100
+    t = np.sort(np.random.default_rng(1).integers(0, WINDOW_US, n))
+    t[0] = 0
+    stream = _stream_at(g, t)
+    det = _RecordingDetector()
+    tags = process_chunked(det, stream)
+    assert [len(c) for c in det.calls] == [MAX_CALL_EVENTS, MAX_CALL_EVENTS, 100]
+    _assert_one_tag_per_event_in_order(tags, stream)
+
+
+def test_process_chunked_puts_window_edges_in_the_later_window():
+    g = SensorGeometry(16, 16)
+    w = WINDOW_US
+    t = np.array([100, 100 + w - 1, 100 + w, 100 + 2 * w, 100 + 2 * w, 100 + 5 * w])
+    stream = _stream_at(g, t)
+    det = _RecordingDetector()
+    tags = process_chunked(det, stream)
+    assert [c.t.tolist() for c in det.calls] == [
+        [100, 100 + w - 1], [100 + w], [100 + 2 * w, 100 + 2 * w], [100 + 5 * w]]
+    _assert_one_tag_per_event_in_order(tags, stream)
+
+
+def test_process_chunked_empty_stream_gives_empty_tags():
+    det = _RecordingDetector()
+    tags = process_chunked(det, EventStream.empty(SensorGeometry(16, 16)))
+    assert len(tags) == 0 and det.calls == []
+
+
+def test_process_chunked_tags_every_event_in_order():
+    stream = random_stream(SensorGeometry(32, 32), 20_000, duration_us=250_000, seed=4)
+    det = _RecordingDetector()
+    tags = process_chunked(det, stream)
+    assert len(det.calls) > 20
+    _assert_one_tag_per_event_in_order(tags, stream)

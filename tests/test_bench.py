@@ -99,13 +99,12 @@ def test_model_prediction_close_on_holdout():
     g = SensorGeometry(128, 128)
     fit_stream = random_stream(g, 120_000, seed=11)
     holdout = random_stream(g, 120_000, seed=12)
-    factory = lambda: LuvHarrisDetector(g, LuvHarrisConfig(threshold_tr=1e9),
-                                        force_batch_size=8192)
+    factory = lambda: LuvHarrisDetector(g, LuvHarrisConfig(threshold_tr=1e9))
     model = fit_throughput_model(factory, fit_stream)
     assert model.w_generations > 1
     # fastest of three runs: timing noise only ever adds
     measured, v, w = min(
-        (run_detector_timed(factory, holdout, chunk_events=8192) for _ in range(3)),
+        (run_detector_timed(factory, holdout) for _ in range(3)),
         key=lambda r: r[0],
     )
     predicted = model.predicted_seconds(v, w)
@@ -119,11 +118,8 @@ def test_instrumentation_required():
         def process(self, chunk):
             return None
 
-        def reset(self):
-            pass
-
     with pytest.raises(InstrumentationUnavailable):
-        fit_throughput_model(Bare(), random_stream(g, 100, seed=1))
+        fit_throughput_model(Bare, random_stream(g, 100, seed=1))
 
 
 def test_burst_delay_recovers_with_headroom():

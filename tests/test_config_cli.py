@@ -137,6 +137,26 @@ def test_cli_rejects_bad_input_with_typed_error(tmp_path, capsys, text, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["detect", "--in", "{tmp}/missing.csv", "--out", "{tmp}/t.csv"],
+    ["detect", "--in", "{src}", "--out", "{tmp}/nodir/t.csv"],
+    ["bench", "--in", "{src}", "--mode", "delay", "--packet-us", "0"],
+    ["bench", "--in", "{src}", "--runs", "0"],
+    ["render", "--mode", "tos", "--out", "{tmp}/t.pgm"],
+    ["render", "--mode", "tos", "--in", "{src}"],
+    ["render", "--mode", "trails"],
+], ids=["missing-input", "missing-output-dir", "zero-packet", "zero-runs",
+        "tos-without-in", "tos-without-out", "trails-without-tags"])
+def test_cli_reports_bad_arguments_and_paths_without_traceback(tmp_path, capsys, argv):
+    src = _write_events(tmp_path, random_stream(SensorGeometry(16, 16), 200, seed=3))
+    try:
+        rc = main([a.format(tmp=tmp_path, src=src) for a in argv])
+    except SystemExit as e:  # argparse's own usage errors
+        rc = e.code
+    assert rc in (1, 2)
+    assert "error" in capsys.readouterr().err
+
+
 def test_cli_dual_thread_worker_failure_is_reported(tmp_path, capsys):
     # 4x4 is smaller than the Sobel aperture, so LUT regeneration fails
     src = _write_events(tmp_path, random_stream(SensorGeometry(4, 4), 2000, seed=1))

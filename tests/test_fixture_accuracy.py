@@ -10,7 +10,6 @@ from evcorner import (
     EHarrisDetector,
     EventStream,
     LuvHarrisConfig,
-    LuvHarrisDetector,
     SensorGeometry,
     binarize_scores,
     decision_parameter_sweep,
@@ -23,6 +22,8 @@ from evcorner.synth import (
     salt_pepper_stream,
     wedge_stream,
 )
+
+from oracles import FreshLutDetector
 
 GEOMETRY = SensorGeometry(96, 48)
 
@@ -72,7 +73,7 @@ def _p50(detector, stream, gt, n_points=24):
 
 def test_luvharris_beats_arc_at_half_recall(suite):
     stream, gt = suite
-    luv = LuvHarrisDetector(GEOMETRY, LuvHarrisConfig(), force_batch_size=64)
+    luv = FreshLutDetector(GEOMETRY, LuvHarrisConfig(), 64)
     p_luv = _p50(luv, stream, gt)
     p_arc = _p50(ArcDetector(GEOMETRY), stream, gt)
     assert p_luv >= p_arc
@@ -84,7 +85,7 @@ def test_relative_improvement_report_over_eharris(suite):
     p_eh = _p50(EHarrisDetector(GEOMETRY), stream, gt)
     report = {}
     for name, det in (
-        ("luvharris", LuvHarrisDetector(GEOMETRY, LuvHarrisConfig(), force_batch_size=64)),
+        ("luvharris", FreshLutDetector(GEOMETRY, LuvHarrisConfig(), 64)),
         ("arc", ArcDetector(GEOMETRY)),
     ):
         report[name] = relative_improvement(_p50(det, stream, gt), p_eh)

@@ -10,7 +10,6 @@ from evcorner import (
     HarrisLut,
     HarrisParams,
     ImageTooSmall,
-    InvalidParameter,
     LuvHarrisConfig,
     LuvHarrisDetector,
     PipelineStats,
@@ -18,12 +17,18 @@ from evcorner import (
     TosSurface,
     harris_response_map,
     regenerate_lut,
-    run_pipeline,
 )
 from evcorner.luvharris import _read_lut
 from evcorner.synth import moving_corner_stream, random_stream, wedge_stream
 
-from oracles import IdealHarrisOracle, WindowedTos, naive_tos_apply, naive_tos_new
+from conftest import luvharris_run
+from oracles import (
+    FreshLutDetector,
+    IdealHarrisOracle,
+    WindowedTos,
+    naive_tos_apply,
+    naive_tos_new,
+)
 
 
 def _read(lut, events, threshold_tr):
@@ -90,7 +95,7 @@ def test_regenerate_wedge_apex_beats_edges(geometry):
 
 def test_empty_stream():
     g = SensorGeometry(16, 16)
-    tags, stats = run_pipeline(EventStream.empty(g), LuvHarrisConfig())
+    tags, stats = luvharris_run(EventStream.empty(g), LuvHarrisConfig())
     assert len(tags) == 0
     assert stats.events_processed == 0 and stats.lut_generations == 0
 
@@ -99,7 +104,8 @@ def test_per_event_regeneration_matches_ideal_oracle():
     g = SensorGeometry(48, 48)
     cfg = LuvHarrisConfig(threshold_tr=1e9)
     stream = random_stream(g, 600, seed=21)
-    tags, stats = run_pipeline(stream, cfg, force_batch_size=1)
+    det = FreshLutDetector(g, cfg, 1)
+    tags, stats = det.process(stream), det.stats
     want_c, want_s = IdealHarrisOracle(g, cfg).classify(stream)
     assert np.array_equal(tags.is_corner, want_c)
     rel = np.abs(tags.score - want_s) / np.maximum(1.0, np.abs(want_s))
@@ -111,8 +117,8 @@ def test_fixed_batch_schedule_is_deterministic():
     g = SensorGeometry(32, 32)
     cfg = LuvHarrisConfig(threshold_tr=1e8)
     stream = random_stream(g, 3000, seed=4)
-    a, _ = run_pipeline(stream, cfg, force_batch_size=64)
-    b, _ = run_pipeline(stream, cfg, force_batch_size=64)
+    a = FreshLutDetector(g, cfg, 64).process(stream)
+    b = FreshLutDetector(g, cfg, 64).process(stream)
     assert np.array_equal(a.is_corner, b.is_corner)
     assert np.array_equal(a.score, b.score)
 
@@ -122,11 +128,28 @@ def test_event_conservation_both_modes():
     stream = random_stream(g, 5000, seed=8)
     for mode in ("alternating", "dual_thread"):
         cfg = LuvHarrisConfig(threshold_tr=1e9, mode=mode)
-        tags, stats = run_pipeline(stream, cfg)
+        tags, stats = luvharris_run(stream, cfg)
         assert len(tags) == len(stream)
         assert np.array_equal(tags.t, stream.t)
         assert np.array_equal(tags.x, stream.x)
         assert stats.events_processed == len(stream)
+
+
+def test_alternating_tags_each_call_from_the_lut_before_it():
+    g = SensorGeometry(40, 30)
+    rng = np.random.default_rng(17)
+    stream = random_stream(g, 3000, seed=17)
+    det = LuvHarrisDetector(g, LuvHarrisConfig(threshold_tr=1e8))
+    cuts = np.sort(rng.choice(np.arange(1, len(stream)), 40, replace=False))
+    cuts[5] = cuts[4]  # one empty call in the middle
+    for i0, i1 in zip(np.r_[0, cuts], np.r_[cuts, len(stream)]):
+        part = stream.slice(int(i0), int(i1))
+        prev = det.lut
+        tags = det.process(part)
+        assert np.array_equal(tags.score, prev.scores[part.y, part.x])
+        assert np.array_equal(tags.is_corner, tags.score > 1e8)
+        assert det.lut.generation_index == prev.generation_index + (len(part) > 0)
+    assert det.stats.lut_generations == det.lut.generation_index == 40
 
 
 def test_staleness_degrades_monotonically_on_average():
@@ -137,7 +160,7 @@ def test_staleness_degrades_monotonically_on_average():
         rate = 0.0
         for seed in (1, 2, 3):
             stream, _ = moving_corner_stream(g, seed=seed, step_us=500 + seed)
-            tags, _ = run_pipeline(stream, cfg, force_batch_size=batch)
+            tags = FreshLutDetector(g, cfg, batch).process(stream)
             oracle_c, _ = IdealHarrisOracle(g, cfg).classify(stream)
             rate += float(np.mean(tags.is_corner != oracle_c))
         disagreements.append(rate / 3)
@@ -207,7 +230,7 @@ def test_dual_thread_reraises_worker_failure():
     g = SensorGeometry(4, 4)
     stream = random_stream(g, 2000, seed=1)
     with pytest.raises(ImageTooSmall):
-        run_pipeline(stream, LuvHarrisConfig(mode="dual_thread"))
+        luvharris_run(stream, LuvHarrisConfig(mode="dual_thread"))
     pipe = LuvHarrisDetector(g, LuvHarrisConfig(mode="dual_thread"))
     pipe.process(stream.slice(0, 1))  # starts the worker
     pipe._worker.join(timeout=10)
@@ -217,18 +240,11 @@ def test_dual_thread_reraises_worker_failure():
     pipe.close()  # the error was delivered once
 
 
-def test_force_batch_size_rejects_dual_thread():
-    # the hook fixes the alternating schedule; dual_thread has none to fix
-    with pytest.raises(InvalidParameter):
-        LuvHarrisDetector(SensorGeometry(16, 16), LuvHarrisConfig(mode="dual_thread"),
-                          force_batch_size=8)
-
-
 def test_dual_thread_publishes_many_generations():
     g = SensorGeometry(32, 32)
     cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
     stream = random_stream(g, 30_000, seed=2)
-    tags, stats = run_pipeline(stream, cfg)
+    tags, stats = luvharris_run(stream, cfg)
     assert stats.lut_generations > 1
     assert len(tags) == len(stream)
 
@@ -236,7 +252,9 @@ def test_dual_thread_publishes_many_generations():
 def test_stats_histogram_counts_all_events():
     g = SensorGeometry(32, 32)
     stream = random_stream(g, 2500, seed=5)
-    _, stats = run_pipeline(stream, LuvHarrisConfig(), force_batch_size=128)
+    det = FreshLutDetector(g, LuvHarrisConfig(), 128)
+    det.process(stream)
+    stats = det.stats
     assert int(stats.t_err_histogram.sum()) == len(stream)
     assert stats.max_batch_size == 128
 
@@ -306,9 +324,9 @@ def test_dual_thread_dirty_tile_luts_equal_full_map_of_naive_tos():
 def test_regenerated_pixels_follow_the_dirty_area():
     hd = SensorGeometry(1280, 720)
     stream, _ = moving_corner_stream(hd)
-    _, stats = run_pipeline(stream, LuvHarrisConfig(threshold_tr=1e9))
+    _, stats = luvharris_run(stream, LuvHarrisConfig(threshold_tr=1e9))
     assert stats.lut_generations > 100
     assert stats.pixels_regenerated / stats.lut_generations < 0.05 * 1280 * 720
     g = SensorGeometry(240, 180)
-    _, stats = run_pipeline(random_stream(g, 40_000, seed=6), LuvHarrisConfig(threshold_tr=1e9))
+    _, stats = luvharris_run(random_stream(g, 40_000, seed=6), LuvHarrisConfig(threshold_tr=1e9))
     assert stats.pixels_regenerated == stats.lut_generations * 240 * 180

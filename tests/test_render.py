@@ -13,7 +13,6 @@ from evcorner import (
     read_pgm,
     render_tos,
     render_trails,
-    run_pipeline,
     save_frames,
     write_pgm,
 )
@@ -21,6 +20,7 @@ from evcorner.render import BRIGHT_VALUE, DIM_VALUE
 from evcorner.synth import moving_corner_stream, random_stream
 
 from conftest import make_stream
+from oracles import FreshLutDetector
 
 
 def test_blank_surface_pgm(tmp_path):
@@ -86,7 +86,7 @@ def test_moving_corner_leaves_connected_trail():
     g = SensorGeometry(64, 64)
     stream, apex = moving_corner_stream(g, step_us=2000, n_steps=30)
     cfg = LuvHarrisConfig(threshold_tr=1e11)
-    tags, _ = run_pipeline(stream, cfg, force_batch_size=32)
+    tags = FreshLutDetector(g, cfg, 32).process(stream)
     frames = render_trails(tags, window_us=200_000)
     trail = np.zeros((64, 64), bool)
     for f in frames:
