@@ -252,10 +252,19 @@ def _loadtxt(lines, dtype) -> np.ndarray:
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _scan(f, line_rule, n_fields: int) -> Iterator[str]:
+def _bulk_columns(lines, dtype, columns):
+    """``columns`` of the lines parsed in one ``np.loadtxt`` call; None
+    where either rejects them."""
+    try:
+        return columns(_loadtxt(lines, dtype))
+    except ValueError:
+        return None
+
+
+def _scan(lines, line_rule, n_fields: int) -> Iterator[str]:
     """Each non-blank body line as ``line_rule`` rewrites it; FormatError
     at the first line whose fields the rule rejects (ValueError)."""
-    for lineno, line in enumerate(f, start=2):
+    for lineno, line in enumerate(lines, start=2):
         if line := line.strip():
             try:
                 fields = line.split(",")
@@ -270,10 +279,11 @@ def _read_rows(path, magic, dtype, line_rule, columns, bulk_dtype=None):
     """Geometry and ``columns(rows)`` of a CSV file.
 
     One ``np.loadtxt`` call parses the body and ``columns`` checks it a
-    column at a time (None: a check failed). Only then are the lines
+    column at a time (None: a check failed). A body with whitespace-only
+    lines gets one more bulk attempt without them. Only then are the lines
     scanned, which raises FormatError at the first bad line; a body that
-    passes (it holds ``1_000`` or a blank line, say) is parsed from the
-    canonical lines the scan yields.
+    passes (it holds ``1_000``, say) is parsed from the canonical lines the
+    scan yields.
     """
     # undecodable bytes become U+FFFD, which no field accepts
     with open(path, "r", errors="replace") as f:
@@ -282,17 +292,19 @@ def _read_rows(path, magic, dtype, line_rule, columns, bulk_dtype=None):
             raise FormatError("empty file", line=1)
         w, h = _parse_header(header, magic)
         body = f.tell()
-        try:
-            cols = columns(_loadtxt(f, bulk_dtype or dtype))
-        except ValueError:
-            cols = None
+        cols = _bulk_columns(f, bulk_dtype or dtype, columns)
         if cols is None:
             f.seek(body)
-            lines = _scan(f, line_rule, len(dtype))
+            lines = f.readlines()
+            filled = [line for line in lines if not line.isspace()]
+            if len(filled) < len(lines):
+                cols = _bulk_columns(filled, bulk_dtype or dtype, columns)
+        if cols is None:
+            rows = _scan(lines, line_rule, len(dtype))
             try:
-                cols = columns(_loadtxt(lines, dtype))
+                cols = columns(_loadtxt(rows, dtype))
             except ValueError:
-                for _ in lines:  # a later line may still break the format
+                for _ in rows:  # a later line may still break the format
                     pass
                 SensorGeometry(w, h)
                 raise FormatError("a field is out of range for its column") from None

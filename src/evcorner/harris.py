@@ -32,6 +32,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -43,7 +44,8 @@ from .errors import GeometryViolation, ImageTooSmall, InvalidParameter
 TILE = 32
 # pixels per evaluated strip (64 rows at 1280 wide): bounds a full frame's
 # temporaries at four strip-sized float64 arrays (plus halo rows), and
-# keeps narrow frames in few strips so per-call costs stay small
+# keeps narrow frames in few strips so per-call costs stay small; a LUT
+# also stores, shares and copies its scores by these strips
 STRIP_PIXELS = 64 * 1280
 
 
@@ -98,27 +100,28 @@ def sobel_derivatives(image, params: HarrisParams) -> tuple[np.ndarray, np.ndarr
     return ix, iy
 
 
-def harris_response_map(image, params: HarrisParams = HarrisParams(),
-                        out: np.ndarray | None = None, rects=None,
-                        snap_below: int | None = None) -> np.ndarray:
-    """Harris response R = det(M) - kappa * tr(M)^2 of ``image``.
+def harris_response_map(image, params: HarrisParams = HarrisParams()) -> np.ndarray:
+    """Harris response R = det(M) - kappa * tr(M)^2 over the whole of
+    ``image``, evaluated as the strips of ``dirty_rects``."""
+    img = _check_image(image, params.sobel_aperture, dtype=None)
+    out = np.empty(img.shape)
+    for (y0, y1, x0, x1), values in response_rects(img, params, dirty_rects(img.shape)):
+        out[y0:y1, x0:x1] = values
+    return out
 
-    By default the whole frame, as the strips of ``dirty_rects``, into a new
-    array; otherwise the given ``(y0, y1, x0, x1)`` rectangles are written
-    into ``out`` and the rest of it is left as it is. Either way each
-    rectangle holds about ``STRIP_PIXELS`` at most, so the temporaries stay
-    strip-sized. With ``snap_below``, ``image`` is a raw TOS and cells below
-    it read as 0.
+
+def response_rects(image, params: HarrisParams, rects, snap_below: int | None = None):
+    """Yield each ``(y0, y1, x0, x1)`` rectangle with the Harris response on
+    it, as a view into a per-thread workspace that the next step reuses.
+
+    Each rectangle should hold about ``STRIP_PIXELS`` at most (the
+    rectangles of ``dirty_rects`` do), so the temporaries stay strip-sized.
+    With ``snap_below``, ``image`` is a raw TOS and cells below it read as 0.
     """
     img = _check_image(image, params.sobel_aperture, dtype=None)
-    if out is None:
-        out = np.empty(img.shape)
-    if rects is None:
-        rects = dirty_rects(img.shape)
     rect = _RectResponse.of(img.shape[0], params, snap_below)
-    for y0, y1, x0, x1 in rects:
-        out[y0:y1, x0:x1] = rect(img, y0, y1, x0, x1)
-    return out
+    for r in rects:
+        yield r, rect(img, *r)
 
 
 def tile_grid(shape: tuple[int, int]) -> tuple[int, int]:
@@ -144,29 +147,36 @@ def dirty_tiles(xs, ys, shape: tuple[int, int], radius: int) -> np.ndarray:
     return mask
 
 
+def strip_rows(shape: tuple[int, int]) -> int:
+    """Rows of each strip of a frame: the most whole tile rows within
+    ``STRIP_PIXELS``, at least one (64 rows at 1280 wide, 128 at 640);
+    the last strip may be shorter."""
+    return max(STRIP_PIXELS // (shape[1] * TILE), 1) * TILE
+
+
 def dirty_rects(shape: tuple[int, int], dirty: np.ndarray | None = None) -> list:
     """``(y0, y1, x0, x1)`` rectangles covering the tiles marked in
     ``dirty`` (a ``tile_grid`` mask; None marks all).
 
-    Each strip (the most whole tile rows within ``STRIP_PIXELS``, at least
-    one) gives one rectangle per run of tile columns dirty in any of its
-    tile rows, spanning its first to last dirty tile row; so an all-dirty
-    frame is exactly its strips.
+    Each strip (see ``strip_rows``) holding a dirty tile row gives one
+    rectangle per run of tile columns dirty in any of its tile rows,
+    spanning its first to last dirty tile row; so an all-dirty frame is
+    exactly its strips. Strips are visited in order and clean ones are
+    skipped without being looked at.
     """
     h, w = shape
     if dirty is None:
         dirty = np.ones(tile_grid(shape), dtype=bool)
-    per_strip = max(STRIP_PIXELS // (w * TILE), 1)
+    per_strip = strip_rows(shape) // TILE
     rects = []
-    for t0 in range(0, dirty.shape[0], per_strip):
-        band = dirty[t0 : t0 + per_strip]
-        rows = np.flatnonzero(band.any(axis=1))
-        if rows.size == 0:
-            continue
-        y0 = int(t0 + rows[0]) * TILE
-        y1 = min(int(t0 + rows[-1] + 1) * TILE, h)
-        edges = np.flatnonzero(np.diff(band.any(axis=0), prepend=False, append=False))
-        rects += [(y0, y1, int(c0) * TILE, min(int(c1) * TILE, w))
+    dirty_rows = np.flatnonzero(dirty.any(axis=1)).tolist()
+    for _, rows in groupby(dirty_rows, key=lambda r: r // per_strip):
+        rows = list(rows)
+        y0, y1 = rows[0] * TILE, min((rows[-1] + 1) * TILE, h)
+        cols = np.zeros(dirty.shape[1] + 2, dtype=bool)  # clean column each side
+        cols[1:-1] = dirty[rows[0] : rows[-1] + 1].any(axis=0)
+        edges = np.flatnonzero(cols[1:] != cols[:-1]).tolist()
+        rects += [(y0, y1, c0 * TILE, min(c1 * TILE, w))
                   for c0, c1 in zip(edges[::2], edges[1::2])]
     return rects
 

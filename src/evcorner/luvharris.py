@@ -8,9 +8,12 @@ LUT read. Phase 2 (per batch / continuously): recompute the LUT from a
 consistent TOS snapshot. A score depends on the TOS only within the Harris
 reach of its pixel, and an event changes the TOS only within ``k_tos`` of
 its own, so phase 2 recomputes just the tiles (``harris.TILE`` square)
-within ``k_tos + reach`` of the events since the last generation and
-splices them into a copy of the previous scores; the result equals the
-full-frame map bit for bit.
+within ``k_tos + reach`` of the events since the last generation; the
+result equals the full-frame map bit for bit. A LUT keeps its scores as
+the frame's row strips (``harris.strip_rows``), and a generation builds
+new arrays only for the strips its tiles fall in, sharing the rest with
+the previous LUT, so its cost follows the dirty area and no published LUT
+is ever written to.
 
 ``LuvHarrisDetector`` runs either ``LuvHarrisConfig.mode``. In
 ``alternating`` mode the two phases take turns on the caller's thread: each
@@ -38,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .events import EventStream, SensorGeometry, Tags
-from .harris import HarrisParams, dirty_rects, dirty_tiles, harris_response_map, tile_grid
+from .harris import HarrisParams, dirty_rects, dirty_tiles, response_rects, strip_rows, tile_grid
 from .stats import PipelineStats
 from .surfaces import TosSurface, tos_default_threshold
 
@@ -69,18 +72,64 @@ class LuvHarrisConfig:
         return self.k_tos + self.harris.reach
 
 
-@dataclass
 class HarrisLut:
     """Harris scores over the frame plus the stream time they hold for.
 
-    Each generation recomputes only the dirty tiles and carries the other
-    scores over from the previous one, unchanged and still exact.
+    The scores are kept as the frame's row strips (``harris.strip_rows``).
+    Each generation recomputes only the dirty tiles, writing them into new
+    arrays for the strips they fall in, and shares every other strip with
+    the previous generation, unchanged and still exact. A LUT is never
+    written to once built, so ``scores``, the full frame, is assembled on
+    first use and kept. ``scores`` may be given whole or as the tuple of
+    its strips.
     """
 
-    scores: np.ndarray
-    generated_at: int  # timestamp (us) of the newest event in the source snapshot
-    generation_index: int
-    pixels_regenerated: int = 0  # pixels this generation recomputed
+    def __init__(self, scores, generated_at: int, generation_index: int,
+                 pixels_regenerated: int = 0):
+        if isinstance(scores, tuple):
+            self.strips, self._scores = scores, None
+        else:
+            rows = strip_rows(scores.shape)
+            self.strips = tuple(scores[y : y + rows] for y in range(0, len(scores), rows))
+            self._scores = scores
+        # timestamp (us) of the newest event in the source snapshot
+        self.generated_at = generated_at
+        self.generation_index = generation_index
+        self.pixels_regenerated = pixels_regenerated  # pixels this generation recomputed
+
+    @classmethod
+    def blank(cls, shape: tuple[int, int]) -> "HarrisLut":
+        """The cold-start table: all-zero scores, one zero strip shared by
+        every strip of the frame."""
+        rows = strip_rows(shape)
+        zero = np.zeros((min(rows, shape[0]), shape[1]))
+        zero.flags.writeable = False
+        return cls(tuple(zero[: min(rows, shape[0] - y)] for y in range(0, shape[0], rows)), 0, 0)
+
+    @property
+    def scores(self) -> np.ndarray:
+        """The full-frame scores, assembled from the strips on first use."""
+        if self._scores is None:
+            strips = self.strips
+            self._scores = strips[0] if len(strips) == 1 else np.concatenate(strips)
+        return self._scores
+
+    def at(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The scores at pixels ``(y, x)``, gathered strip by strip."""
+        strips = self.strips
+        if len(strips) == 1 or len(y) == 0:
+            return strips[0][y, x]
+        rows = len(strips[0])
+        strip = y // rows
+        first, last = int(strip.min()), int(strip.max())
+        if first == last:
+            return strips[first][y - first * rows, x]
+        out = np.empty(len(y))
+        for k in range(first, last + 1):
+            hit = np.flatnonzero(strip == k)
+            if hit.size:
+                out[hit] = strips[k][y[hit] - k * rows, x[hit]]
+        return out
 
 
 def regenerate_lut(
@@ -95,26 +144,40 @@ def regenerate_lut(
 
     ``surface`` is the raw TOS, whose cells below ``t_tos`` read as 0 (a
     snapped grid with the default 0 works too). The tiles marked in
-    ``dirty`` (see ``harris.dirty_tiles``; None marks all) are recomputed and
-    spliced into a copy of ``previous.scores``, so the previous LUT is never
-    written to and publication stays an atomic swap. Without a previous LUT
-    every tile is recomputed.
+    ``dirty`` (see ``harris.dirty_tiles``; None marks all) are recomputed.
+    A strip they cover whole is a new array; one they cover in part is a
+    copy of the previous strip with them written in; every other strip is
+    the previous one. So the previous LUT is never written to and
+    publication stays an atomic swap. Without a previous LUT every tile is
+    recomputed.
     """
+    shape = np.shape(surface)
+    rows = strip_rows(shape)
     if previous is None:
-        scores, dirty, index = np.empty(np.shape(surface)), None, 1
+        strips, dirty, index = [None] * -(-shape[0] // rows), None, 1
     else:
-        scores, index = previous.scores.copy(), previous.generation_index + 1
-    rects = dirty_rects(np.shape(surface), dirty)
-    harris_response_map(surface, params, scores, rects, snap_below=t_tos)
-    written = sum((y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in rects)
-    return HarrisLut(scores, int(latest_event_t), index, written)
+        strips, index = list(previous.strips), previous.generation_index + 1
+    rects = dirty_rects(shape, dirty)
+    area = {}  # pixels written per strip
+    for y0, y1, x0, x1 in rects:
+        area[y0 // rows] = area.get(y0 // rows, 0) + (y1 - y0) * (x1 - x0)
+    for k, written in area.items():
+        height = min(rows, shape[0] - k * rows)
+        whole = written == height * shape[1]
+        strips[k] = np.empty((height, shape[1])) if whole else strips[k].copy()
+    for (y0, y1, x0, x1), values in response_rects(surface, params, rects, t_tos):
+        k = y0 // rows
+        strips[k][y0 - k * rows : y1 - k * rows, x0:x1] = values
+    for k in area:
+        strips[k].flags.writeable = False
+    return HarrisLut(tuple(strips), int(latest_event_t), index, sum(area.values()))
 
 
 def _read_lut(lut: HarrisLut, chunk: EventStream, threshold_tr: float,
               stats: PipelineStats) -> tuple[np.ndarray, np.ndarray]:
     """Phase-1 read: score every event of ``chunk`` from one LUT generation
     and record each event's time gap to it."""
-    score = lut.scores[chunk.y, chunk.x]
+    score = lut.at(chunk.y, chunk.x)
     stats.record_t_err(np.abs(chunk.t.astype(np.int64) - lut.generated_at))
     return score > threshold_tr, score
 
@@ -136,8 +199,9 @@ class LuvHarrisDetector:
     tiles into the pending mask under one lock, so the worker's snapshots
     land between whole chunks, then tags the chunk by one read of the
     published LUT. The worker sleeps until tiles are pending (all of them
-    at a cold start), takes the TOS copy and the mask together under the
-    lock, regenerates outside it, and publishes by rebinding ``self.lut``.
+    at a cold start), takes the mask and copies the TOS rows it will read
+    into its own snapshot together under the lock, regenerates outside it,
+    and publishes by rebinding ``self.lut``.
     ``close`` lets it regenerate what is pending first. A worker failure is
     re-raised once, by the next ``process`` or ``close``.
     """
@@ -150,7 +214,7 @@ class LuvHarrisDetector:
         self.config = config or LuvHarrisConfig()
         self.tos = TosSurface(geometry, self.config.k_tos, self.config.effective_t_tos())
         # cold start: all-zero scores, so early events are tagged not-corner
-        self.lut = HarrisLut(np.zeros((geometry.height, geometry.width)), 0, 0)
+        self.lut = HarrisLut.blank((geometry.height, geometry.width))
         self.stats = PipelineStats()
         # dual_thread state, shared with the worker under _wake's lock
         self._wake = threading.Condition()
@@ -230,6 +294,10 @@ class LuvHarrisDetector:
         return Tags.for_stream(chunk, is_corner, score)
 
     def _regen_loop(self) -> None:
+        # the worker's TOS snapshot: each generation refreshes only the rows
+        # its rectangles read, so stale rows elsewhere are never looked at
+        snap = np.zeros_like(self.tos.raw)
+        h, reach = snap.shape[0], self.config.harris.reach
         try:
             while True:
                 with self._wake:
@@ -237,12 +305,14 @@ class LuvHarrisDetector:
                         self._wake.wait()
                     if not self._dirty.any():
                         return
-                    raw = self.tos.raw.copy()
                     dirty, self._dirty = self._dirty, np.zeros_like(self._dirty)
+                    for y0, y1 in {r[:2] for r in dirty_rects(snap.shape, dirty)}:
+                        lo, hi = max(y0 - reach, 0), min(y1 + reach, h)
+                        snap[lo:hi] = self.tos.raw[lo:hi]
                     latest = self._latest_t
                 t0 = time.perf_counter()
                 # through the module global, so tracing it sees this thread too
-                self.lut = regenerate_lut(raw, self.config.harris, latest, self.lut,
+                self.lut = regenerate_lut(snap, self.config.harris, latest, self.lut,
                                           dirty, self.tos.t_tos)
                 self.stats.record_generation(self.lut.pixels_regenerated,
                                              time.perf_counter() - t0)

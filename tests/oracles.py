@@ -117,6 +117,32 @@ def naive_harris_map(img: np.ndarray, block: int, aperture: int, kappa: float) -
     return out
 
 
+def scan_dirty_rects(shape, dirty, tile: int, strip_pixels: int) -> list:
+    """Dirty-tile rectangles by looking at every strip in turn: per strip
+    of whole tile rows, one rectangle per run of columns dirty in any of
+    its rows, from its first to its last dirty row."""
+    h, w = shape
+    per_strip = max(strip_pixels // (w * tile), 1)
+    rects = []
+    for t0 in range(0, dirty.shape[0], per_strip):
+        band = dirty[t0 : t0 + per_strip]
+        rows = [r for r in range(band.shape[0]) if band[r].any()]
+        if not rows:
+            continue
+        y0, y1 = (t0 + rows[0]) * tile, min((t0 + rows[-1] + 1) * tile, h)
+        cols = band.any(axis=0).tolist() + [False]
+        c = 0
+        while c < dirty.shape[1]:
+            if cols[c]:
+                c1 = c
+                while cols[c1]:
+                    c1 += 1
+                rects.append((y0, y1, c * tile, min(c1 * tile, w)))
+                c = c1
+            c += 1
+    return rects
+
+
 # --- ring arcs: exhaustive enumeration --------------------------------------
 
 def valid_arc_lengths(vals, n: int) -> set[int]:

@@ -16,6 +16,7 @@ from evcorner import (
     write_stream,
     write_tags,
 )
+from evcorner import events
 from evcorner.events import format_score
 from evcorner.synth import random_stream
 
@@ -226,6 +227,8 @@ CSV_BODIES = [
     ("", "us"),
     ("5,1,2,1\n\n\n7,1,2,0\n", "us"),
     ("5,1,2,1\n   \n\t\n7,1,2,0\n", "us"),
+    ("5,1,2,1\n \n\t\n6,1,2,7\n", "us"),  # an error below blank lines
+    ("5,1,2,1\n  \n1_000,1,2,1\n", "us"),
     ("5,1,2,1\r\n7,1,2,0\r\n", "us"),
     ("5,1,2,1\n# note\n", "us"),
     ("5,1,2,1,\n", "us"),
@@ -289,6 +292,24 @@ def test_csv_reader_matches_line_spec_on_random_fields(tmp_path):
             assert _outcome(_bulk_stream, path, unit) == want, (lines, unit)
             outcomes.add(want[0] if isinstance(want, tuple) else "ok")
     assert {"ok", "FormatError", "GeometryViolation", "TimestampRegression"} <= outcomes
+
+
+def test_whitespace_only_lines_parse_in_bulk(tmp_path, monkeypatch):
+    g = SensorGeometry(64, 48)
+    s = random_stream(g, 3000, seed=12)
+    clean, spaced = tmp_path / "clean.csv", tmp_path / "spaced.csv"
+    write_stream(s, clean)
+    lines = clean.read_text().splitlines(keepends=True)
+    for i, blank in ((2900, " \t \n"), (1500, "\n"), (1, "   \n")):
+        lines.insert(i, blank)
+    spaced.write_text("".join(lines) + "  ")
+    want = _outcome(_bulk_stream, clean, "us")
+
+    def no_scan(*args):
+        raise AssertionError("the per-line scan ran")
+
+    monkeypatch.setattr(events, "_scan", no_scan)
+    assert _outcome(_bulk_stream, spaced, "us") == want
 
 
 TAG_BODIES = [

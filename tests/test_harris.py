@@ -12,8 +12,9 @@ from evcorner import (
     harris_response_patch,
     sobel_derivatives,
 )
+from evcorner.harris import STRIP_PIXELS, TILE, dirty_rects, strip_rows, tile_grid
 
-from oracles import naive_harris_map, naive_sobel
+from oracles import naive_harris_map, naive_sobel, scan_dirty_rects
 
 
 def corner_image(size=32, value=255):
@@ -171,3 +172,21 @@ def test_full_map_memory_is_strip_bounded():
     # the 7.4 MB result plus four strip-sized float64 buffers; whole-frame
     # temporaries peaked at about 56 MB
     assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("width,height,strips", [(1280, 720, 12), (1300, 100, 4), (640, 480, 4),
+                                                 (240, 180, 1), (20, 13, 1)])
+def test_dirty_rects_equal_a_scan_of_every_strip(width, height, strips):
+    # sparse masks leave most strips clean; dense ones fill whole strips
+    rng = np.random.default_rng(width + height)
+    grid = tile_grid((height, width))
+    masks = [np.zeros(grid, bool), np.ones(grid, bool)]
+    masks += [rng.random(grid) < density for density in (0.01, 0.05, 0.3, 0.9) for _ in range(10)]
+    for dirty in masks:
+        want = scan_dirty_rects((height, width), dirty, TILE, STRIP_PIXELS)
+        assert dirty_rects((height, width), dirty) == want
+    # an all-dirty frame is its strips: 64 rows each at 1280 wide, 128 at 640
+    rows = strip_rows((height, width))
+    assert dirty_rects((height, width)) == [
+        (y, min(y + rows, height), 0, width) for y in range(0, height, rows)]
+    assert -(-height // rows) == strips

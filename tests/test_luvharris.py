@@ -1,5 +1,6 @@
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from evcorner import (
     harris_response_map,
     regenerate_lut,
 )
+from evcorner.harris import dirty_tiles
 from evcorner.luvharris import _read_lut
 from evcorner.synth import moving_corner_stream, random_stream, wedge_stream
 
@@ -65,6 +67,51 @@ def test_classify_threshold_sweep_monotone():
     for thr in np.linspace(-2, 2, 9):
         counts.append(int(_read(lut, events, thr)[0].sum()))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def test_lut_reads_strip_by_strip_equal_full_frame_reads():
+    # 1300x100 is four strips (three of 32 rows, one of 4)
+    rng = np.random.default_rng(3)
+    scores = rng.normal(0, 1, (100, 1300))
+    lut = HarrisLut(scores, 0, 1)
+    assert [len(s) for s in lut.strips] == [32, 32, 32, 4] and lut.scores is scores
+    spread = [(i, int(rng.integers(0, 1300)), int(rng.integers(0, 100))) for i in range(300)]
+    one_strip = [(i, x, y % 32 + 64) for i, x, y in spread]
+    for events in (spread, one_strip, spread[:1]):
+        _, y = _read(lut, events, 0.0)
+        want = scores[[e[2] for e in events], [e[1] for e in events]]
+        assert np.array_equal(y, want)
+    # rebuilt from its strips, the frame reads the same
+    assert np.array_equal(HarrisLut(lut.strips, 0, 1).scores, scores)
+    blank = HarrisLut.blank((100, 1300))
+    assert blank.scores.shape == (100, 1300) and not blank.scores.any()
+    assert [len(s) for s in blank.strips] == [32, 32, 32, 4]
+
+
+def test_one_tile_generation_copies_one_strip_and_shares_the_rest():
+    g = SensorGeometry(1280, 720)
+    cfg = LuvHarrisConfig()
+    tos = TosSurface(g, cfg.k_tos, cfg.effective_t_tos())
+    stream = random_stream(g, 5000, seed=9)
+    tos.update_many(stream.x, stream.y)
+    first = regenerate_lut(tos.raw, cfg.harris, 1, t_tos=tos.t_tos)
+    # an event in the middle of tile (9, 18), in the strip of rows 256-319
+    tos.update_many([592], [304])
+    dirty = dirty_tiles([592], [304], tos.raw.shape, cfg.dirty_radius())
+    assert dirty.sum() == 1
+    tracemalloc.start()
+    try:
+        nxt = regenerate_lut(tos.raw, cfg.harris, 2, first, dirty, tos.t_tos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    strip_bytes = 64 * 1280 * 8
+    # the full frame is 7.4 MB; one copied strip is 655 kB
+    assert peak < 2 * strip_bytes
+    assert nxt.pixels_regenerated == 32 * 32
+    shared = [a is b for a, b in zip(nxt.strips, first.strips)]
+    assert shared == [k != 4 for k in range(12)]
+    assert np.array_equal(nxt.scores, harris_response_map(tos.grid, cfg.harris))
 
 
 def test_regenerate_blank_and_deterministic():
@@ -224,6 +271,61 @@ def test_dual_thread_luts_are_event_consistent():
         )
 
 
+def test_dual_thread_published_luts_stay_unchanged():
+    # four strips, most of them shared between generations: no later
+    # generation may write into a table already published
+    g = SensorGeometry(1300, 100)
+    cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
+    corner, _ = moving_corner_stream(g, start=(8, 8), n_steps=94)
+    noise = random_stream(g, 2000, seed=23)
+    x = np.r_[corner.x, noise.x, corner.x[::-1]]
+    y = np.r_[corner.y, noise.y, corner.y[::-1]]
+    stream = EventStream.from_arrays(g, np.arange(1, len(x) + 1), x, y, np.ones(len(x)))
+    pipe = LuvHarrisDetector(g, cfg)
+    seen = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for part in stream.chunks(97):
+            pipe.process(part)
+            lut = pipe.lut
+            seen.setdefault(lut.generation_index, (lut, lut.scores.copy()))
+            deadline = time.monotonic() + 10
+            while pipe.lut.generated_at != part.t[-1] and time.monotonic() < deadline:
+                time.sleep(0.001)
+            lut = pipe.lut
+            seen.setdefault(lut.generation_index, (lut, lut.scores.copy()))
+    finally:
+        pipe.close()
+        sys.setswitchinterval(interval)
+    assert len(seen) > 20
+    for index, (lut, at_publication) in seen.items():
+        assert np.array_equal(np.concatenate(lut.strips), at_publication), (
+            f"generation {index} changed after it was published"
+        )
+
+
+def test_dual_thread_restarted_worker_snapshots_the_rows_it_reads():
+    # a worker started after close() has a blank snapshot: its first
+    # generations must still read current TOS rows around their tiles
+    g = SensorGeometry(1300, 100)
+    cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
+    noise = random_stream(g, 3000, seed=31)
+    corner, _ = moving_corner_stream(g, start=(8, 8), n_steps=94)
+    ref = WindowedTos(1300, 100, cfg.k_tos, cfg.effective_t_tos())
+    pipe = LuvHarrisDetector(g, cfg)
+    try:
+        for stream in (noise, corner):
+            for part in stream.chunks(97):
+                pipe.process(part)
+                for x, y in zip(part.x.tolist(), part.y.tolist()):
+                    ref.apply(x, y)
+            pipe.close()
+            assert np.array_equal(pipe.lut.scores, harris_response_map(ref.grid, cfg.harris))
+    finally:
+        pipe.close()
+
+
 def test_dual_thread_reraises_worker_failure():
     # 4x4 is smaller than the Sobel aperture: the worker's first
     # regeneration fails, and the caller must see it
@@ -303,22 +405,25 @@ def test_dirty_tile_luts_equal_full_map_of_naive_tos(width, height, k_tos, block
 
 
 def test_dual_thread_dirty_tile_luts_equal_full_map_of_naive_tos():
-    g = SensorGeometry(150, 140)
-    cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
-    stream, _ = moving_corner_stream(g, start=(8, 8), n_steps=134)
-    ref = WindowedTos(150, 140, cfg.k_tos, cfg.effective_t_tos())
-    pipe = LuvHarrisDetector(g, cfg)
-    try:
-        for part in stream.chunks(97):
-            pipe.process(part)
-            for x, y in zip(part.x.tolist(), part.y.tolist()):
-                ref.apply(x, y)
-            deadline = time.monotonic() + 10
-            while pipe.lut.generated_at != part.t[-1] and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert np.array_equal(pipe.lut.scores, harris_response_map(ref.grid, cfg.harris))
-    finally:
-        pipe.close()
+    # 150x140 is one strip; 1300x100 is four, so the worker's snapshot
+    # refreshes only some of its rows per generation
+    for width, height in ((150, 140), (1300, 100)):
+        g = SensorGeometry(width, height)
+        cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
+        stream, _ = moving_corner_stream(g, start=(8, 8), n_steps=min(width, height) - 6)
+        ref = WindowedTos(width, height, cfg.k_tos, cfg.effective_t_tos())
+        pipe = LuvHarrisDetector(g, cfg)
+        try:
+            for part in stream.chunks(97):
+                pipe.process(part)
+                for x, y in zip(part.x.tolist(), part.y.tolist()):
+                    ref.apply(x, y)
+                deadline = time.monotonic() + 10
+                while pipe.lut.generated_at != part.t[-1] and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert np.array_equal(pipe.lut.scores, harris_response_map(ref.grid, cfg.harris))
+        finally:
+            pipe.close()
 
 
 def test_regenerated_pixels_follow_the_dirty_area():
