@@ -75,23 +75,18 @@ class LuvHarrisConfig:
 class HarrisLut:
     """Harris scores over the frame plus the stream time they hold for.
 
-    The scores are kept as the frame's row strips (``harris.strip_rows``).
-    Each generation recomputes only the dirty tiles, writing them into new
-    arrays for the strips they fall in, and shares every other strip with
-    the previous generation, unchanged and still exact. A LUT is never
-    written to once built, so ``scores``, the full frame, is assembled on
-    first use and kept. ``scores`` may be given whole or as the tuple of
-    its strips.
+    The scores are kept as ``strips``, the frame's row strips
+    (``harris.strip_rows``), each read-only. Each generation recomputes
+    only the dirty tiles, writing them into new arrays for the strips they
+    fall in, and shares every other strip with the previous generation,
+    unchanged and still exact. A LUT is never written to once built, so
+    ``scores``, the full frame, is assembled on first use and kept.
     """
 
-    def __init__(self, scores, generated_at: int, generation_index: int,
+    def __init__(self, strips: tuple, generated_at: int, generation_index: int,
                  pixels_regenerated: int = 0):
-        if isinstance(scores, tuple):
-            self.strips, self._scores = scores, None
-        else:
-            rows = strip_rows(scores.shape)
-            self.strips = tuple(scores[y : y + rows] for y in range(0, len(scores), rows))
-            self._scores = scores
+        self.strips = strips
+        self._scores = None
         # timestamp (us) of the newest event in the source snapshot
         self.generated_at = generated_at
         self.generation_index = generation_index
@@ -106,12 +101,25 @@ class HarrisLut:
         zero.flags.writeable = False
         return cls(tuple(zero[: min(rows, shape[0] - y)] for y in range(0, shape[0], rows)), 0, 0)
 
+    @classmethod
+    def from_frame(cls, scores, generated_at: int, generation_index: int) -> "HarrisLut":
+        """A LUT holding a read-only copy of the full-frame ``scores``."""
+        frame = np.array(scores, dtype=float)
+        frame.flags.writeable = False
+        rows = strip_rows(frame.shape)
+        return cls(tuple(frame[y : y + rows] for y in range(0, len(frame), rows)),
+                   generated_at, generation_index)
+
     @property
     def scores(self) -> np.ndarray:
         """The full-frame scores, assembled from the strips on first use."""
         if self._scores is None:
             strips = self.strips
-            self._scores = strips[0] if len(strips) == 1 else np.concatenate(strips)
+            if len(strips) == 1:
+                self._scores = strips[0]
+            else:
+                self._scores = np.concatenate(strips)
+                self._scores.flags.writeable = False
         return self._scores
 
     def at(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -199,9 +207,8 @@ class LuvHarrisDetector:
     tiles into the pending mask under one lock, so the worker's snapshots
     land between whole chunks, then tags the chunk by one read of the
     published LUT. The worker sleeps until tiles are pending (all of them
-    at a cold start), takes the mask and copies the TOS rows it will read
-    into its own snapshot together under the lock, regenerates outside it,
-    and publishes by rebinding ``self.lut``.
+    at a cold start), takes the TOS copy and the mask together under the
+    lock, regenerates outside it, and publishes by rebinding ``self.lut``.
     ``close`` lets it regenerate what is pending first. A worker failure is
     re-raised once, by the next ``process`` or ``close``.
     """
@@ -294,10 +301,6 @@ class LuvHarrisDetector:
         return Tags.for_stream(chunk, is_corner, score)
 
     def _regen_loop(self) -> None:
-        # the worker's TOS snapshot: each generation refreshes only the rows
-        # its rectangles read, so stale rows elsewhere are never looked at
-        snap = np.zeros_like(self.tos.raw)
-        h, reach = snap.shape[0], self.config.harris.reach
         try:
             while True:
                 with self._wake:
@@ -305,14 +308,12 @@ class LuvHarrisDetector:
                         self._wake.wait()
                     if not self._dirty.any():
                         return
+                    raw = self.tos.raw.copy()
                     dirty, self._dirty = self._dirty, np.zeros_like(self._dirty)
-                    for y0, y1 in {r[:2] for r in dirty_rects(snap.shape, dirty)}:
-                        lo, hi = max(y0 - reach, 0), min(y1 + reach, h)
-                        snap[lo:hi] = self.tos.raw[lo:hi]
                     latest = self._latest_t
                 t0 = time.perf_counter()
                 # through the module global, so tracing it sees this thread too
-                self.lut = regenerate_lut(snap, self.config.harris, latest, self.lut,
+                self.lut = regenerate_lut(raw, self.config.harris, latest, self.lut,
                                           dirty, self.tos.t_tos)
                 self.stats.record_generation(self.lut.pixels_regenerated,
                                              time.perf_counter() - t0)

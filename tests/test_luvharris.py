@@ -43,7 +43,7 @@ def _read(lut, events, threshold_tr):
 
 
 def test_classify_cold_start_not_corner():
-    lut = HarrisLut(np.zeros((8, 8)), 0, 0)
+    lut = HarrisLut.from_frame(np.zeros((8, 8)), 0, 0)
     is_corner, score = _read(lut, [(1, 3, 4)], 0.01)
     assert is_corner.tolist() == [False] and score.tolist() == [0.0]
 
@@ -51,7 +51,7 @@ def test_classify_cold_start_not_corner():
 def test_classify_reads_lut_cell():
     scores = np.zeros((8, 8))
     scores[4, 3] = 5.0
-    lut = HarrisLut(scores, 10, 1)
+    lut = HarrisLut.from_frame(scores, 10, 1)
     is_corner, score = _read(lut, [(11, 3, 4)], 1.0)
     assert is_corner.tolist() == [True] and score.tolist() == [5.0]
     # an event outside the LUT's frame cannot reach the read
@@ -61,7 +61,7 @@ def test_classify_reads_lut_cell():
 
 def test_classify_threshold_sweep_monotone():
     rng = np.random.default_rng(0)
-    lut = HarrisLut(rng.normal(0, 1, (16, 16)), 0, 1)
+    lut = HarrisLut.from_frame(rng.normal(0, 1, (16, 16)), 0, 1)
     events = [(i, int(rng.integers(0, 16)), int(rng.integers(0, 16))) for i in range(200)]
     counts = []
     for thr in np.linspace(-2, 2, 9):
@@ -73,8 +73,11 @@ def test_lut_reads_strip_by_strip_equal_full_frame_reads():
     # 1300x100 is four strips (three of 32 rows, one of 4)
     rng = np.random.default_rng(3)
     scores = rng.normal(0, 1, (100, 1300))
-    lut = HarrisLut(scores, 0, 1)
-    assert [len(s) for s in lut.strips] == [32, 32, 32, 4] and lut.scores is scores
+    lut = HarrisLut.from_frame(scores, 0, 1)
+    assert [len(s) for s in lut.strips] == [32, 32, 32, 4]
+    # a copy, read-only like the strips of a regenerated LUT
+    assert lut.scores is not scores and np.array_equal(lut.scores, scores)
+    assert not any(s.flags.writeable for s in (*lut.strips, lut.scores))
     spread = [(i, int(rng.integers(0, 1300)), int(rng.integers(0, 100))) for i in range(300)]
     one_strip = [(i, x, y % 32 + 64) for i, x, y in spread]
     for events in (spread, one_strip, spread[:1]):
@@ -271,11 +274,12 @@ def test_dual_thread_luts_are_event_consistent():
         )
 
 
-def test_dual_thread_published_luts_stay_unchanged():
+@pytest.mark.parametrize("mode", ["alternating", "dual_thread"])
+def test_published_luts_stay_unchanged(mode):
     # four strips, most of them shared between generations: no later
     # generation may write into a table already published
     g = SensorGeometry(1300, 100)
-    cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
+    cfg = LuvHarrisConfig(mode=mode, threshold_tr=1e9)
     corner, _ = moving_corner_stream(g, start=(8, 8), n_steps=94)
     noise = random_stream(g, 2000, seed=23)
     x = np.r_[corner.x, noise.x, corner.x[::-1]]
@@ -303,27 +307,6 @@ def test_dual_thread_published_luts_stay_unchanged():
         assert np.array_equal(np.concatenate(lut.strips), at_publication), (
             f"generation {index} changed after it was published"
         )
-
-
-def test_dual_thread_restarted_worker_snapshots_the_rows_it_reads():
-    # a worker started after close() has a blank snapshot: its first
-    # generations must still read current TOS rows around their tiles
-    g = SensorGeometry(1300, 100)
-    cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
-    noise = random_stream(g, 3000, seed=31)
-    corner, _ = moving_corner_stream(g, start=(8, 8), n_steps=94)
-    ref = WindowedTos(1300, 100, cfg.k_tos, cfg.effective_t_tos())
-    pipe = LuvHarrisDetector(g, cfg)
-    try:
-        for stream in (noise, corner):
-            for part in stream.chunks(97):
-                pipe.process(part)
-                for x, y in zip(part.x.tolist(), part.y.tolist()):
-                    ref.apply(x, y)
-            pipe.close()
-            assert np.array_equal(pipe.lut.scores, harris_response_map(ref.grid, cfg.harris))
-    finally:
-        pipe.close()
 
 
 def test_dual_thread_reraises_worker_failure():
@@ -405,8 +388,8 @@ def test_dirty_tile_luts_equal_full_map_of_naive_tos(width, height, k_tos, block
 
 
 def test_dual_thread_dirty_tile_luts_equal_full_map_of_naive_tos():
-    # 150x140 is one strip; 1300x100 is four, so the worker's snapshot
-    # refreshes only some of its rows per generation
+    # 150x140 is one strip; 1300x100 is four, so the worker's LUTs share
+    # the strips a generation leaves clean
     for width, height in ((150, 140), (1300, 100)):
         g = SensorGeometry(width, height)
         cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
