@@ -60,7 +60,7 @@ from .events import (
     write_stream,
     write_tags,
 )
-from .filters import FilterConfig, refractory_filter, sp_filter
+from .filters import refractory_filter, sp_filter
 from .harris import (
     HarrisParams,
     PatchEvaluator,

@@ -32,8 +32,8 @@ def _load(path, fmt=None, ts_unit="us"):
 
 
 def _options(args) -> dict:
-    opts = load_config(args.config) if getattr(args, "config", None) else {}
-    if getattr(args, "threshold", None) is not None:
+    opts = load_config(args.config) if args.config else {}
+    if args.threshold is not None:
         opts["threshold_tr"] = args.threshold
     return opts
 
@@ -120,13 +120,13 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _add_common(p, needs_input=True):
-    if needs_input:
-        p.add_argument("--in", dest="infile", required=True, help="event file (csv or .evb)")
-        p.add_argument("--ts-unit", choices=["us", "s"], default="us",
-                       help="timestamp unit of CSV input")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--threshold", type=float, help="override corner threshold")
+def _add_common(p, detector_options=True):
+    p.add_argument("--in", dest="infile", required=True, help="event file (csv or .evb)")
+    p.add_argument("--ts-unit", choices=["us", "s"], default="us",
+                   help="timestamp unit of CSV input")
+    if detector_options:
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--threshold", type=float, help="override corner threshold")
 
 
 def main(argv=None) -> int:
@@ -142,7 +142,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("filter", help="refractory / salt-and-pepper pre-filtering")
-    _add_common(p)
+    _add_common(p, detector_options=False)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "packed_binary"], default="csv")
     p.add_argument("--refractory-us", type=int, default=5_000)

@@ -1,9 +1,9 @@
 """Key=value config files and detector construction by name.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments.
-Recognised keys:
+Recognised keys, the detector options of ``detect``, ``bench`` and ``pr``
+(the detector itself is chosen on the command line):
 
-    detector            luvharris | eharris | fast | arc
     k_tos, t_tos        TOS neighbourhood half-width / zero-threshold
     block_size          Harris aggregation window (odd)
     sobel_aperture      Sobel kernel size (odd)
@@ -14,7 +14,6 @@ Recognised keys:
                         regenerates the LUT; no wait, older LUT)
     window_us           eharris binary-window duration
     max_angle_deg       fast/arc acceptance angle
-    refractory_us, sp_window_us, sp_neighborhood   pre-filter settings
 """
 
 from __future__ import annotations
@@ -25,12 +24,9 @@ from .events import SensorGeometry
 from .harris import HarrisParams
 from .luvharris import LuvHarrisConfig, LuvHarrisDetector
 
-_INT_KEYS = {
-    "k_tos", "t_tos", "block_size", "sobel_aperture", "window_us",
-    "refractory_us", "sp_window_us", "sp_neighborhood",
-}
+_INT_KEYS = {"k_tos", "t_tos", "block_size", "sobel_aperture", "window_us"}
 _FLOAT_KEYS = {"kappa", "threshold_tr", "max_angle_deg"}
-_STR_KEYS = {"detector", "mode"}
+_STR_KEYS = {"mode"}
 
 DETECTOR_NAMES = ("luvharris", "eharris", "fast", "arc")
 

@@ -12,23 +12,10 @@ it is therefore not idempotent in general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameter
 from .events import EventStream
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    refractory_us: int = 5_000  # 0 disables
-    sp_window_us: int = 10_000
-    sp_neighborhood: int = 1
-
-    def __post_init__(self):
-        if self.refractory_us < 0 or self.sp_window_us < 0 or self.sp_neighborhood < 0:
-            raise InvalidParameter("filter parameters must be non-negative")
 
 
 def _pixel_order(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:

@@ -15,16 +15,18 @@ new arrays only for the strips its tiles fall in, sharing the rest with
 the previous LUT, so its cost follows the dirty area and no published LUT
 is ever written to.
 
-``LuvHarrisDetector`` runs either ``LuvHarrisConfig.mode``. In
-``alternating`` mode the two phases take turns on the caller's thread: each
-``process`` call updates the TOS with the whole chunk, regenerates the LUT
-once, and tags the chunk against the LUT from before the update, the one
-regenerated after the previous call. In ``dual_thread`` mode the caller's
-thread runs phase 1 on each chunk while a worker thread (named
-``WORKER_NAME``, started by the first ``process`` call) regenerates
-whenever tiles are pending, publishing LUTs by atomic whole-object swap, so
-a chunk is tagged without waiting but against an older LUT. ``close()``
-(or leaving a ``with`` block) joins the worker.
+``LuvHarrisDetector`` runs one path in either ``LuvHarrisConfig.mode``.
+Each ``process`` call updates the TOS with the chunk, marks the chunk's
+tiles pending, and tags the chunk against the current LUT. The modes only
+differ in who runs phase 2: in ``alternating`` mode the caller regenerates
+once at the end of the call, so the next chunk is tagged against a LUT of
+this one; in ``dual_thread`` mode a worker thread (named ``WORKER_NAME``,
+started by the first ``process`` call) regenerates whenever tiles are
+pending and publishes LUTs by atomic whole-object swap, so a chunk is
+tagged without waiting but against an older LUT. ``close()`` (or leaving a
+``with`` block) joins the worker. Both modes start clear: the cold-start
+LUT is the exact map of the all-zero TOS, so nothing is pending before the
+first event.
 
 The LUT a chunk is classified against was generated from an earlier TOS
 state; staleness grows with chunk size and only degrades accuracy, never
@@ -79,14 +81,13 @@ class HarrisLut:
     (``harris.strip_rows``), each read-only. Each generation recomputes
     only the dirty tiles, writing them into new arrays for the strips they
     fall in, and shares every other strip with the previous generation,
-    unchanged and still exact. A LUT is never written to once built, so
-    ``scores``, the full frame, is assembled on first use and kept.
+    unchanged and still exact. A LUT is never written to once built, and
+    ``at`` is its one read.
     """
 
     def __init__(self, strips: tuple, generated_at: int, generation_index: int,
                  pixels_regenerated: int = 0):
         self.strips = strips
-        self._scores = None
         # timestamp (us) of the newest event in the source snapshot
         self.generated_at = generated_at
         self.generation_index = generation_index
@@ -100,27 +101,6 @@ class HarrisLut:
         zero = np.zeros((min(rows, shape[0]), shape[1]))
         zero.flags.writeable = False
         return cls(tuple(zero[: min(rows, shape[0] - y)] for y in range(0, shape[0], rows)), 0, 0)
-
-    @classmethod
-    def from_frame(cls, scores, generated_at: int, generation_index: int) -> "HarrisLut":
-        """A LUT holding a read-only copy of the full-frame ``scores``."""
-        frame = np.array(scores, dtype=float)
-        frame.flags.writeable = False
-        rows = strip_rows(frame.shape)
-        return cls(tuple(frame[y : y + rows] for y in range(0, len(frame), rows)),
-                   generated_at, generation_index)
-
-    @property
-    def scores(self) -> np.ndarray:
-        """The full-frame scores, assembled from the strips on first use."""
-        if self._scores is None:
-            strips = self.strips
-            if len(strips) == 1:
-                self._scores = strips[0]
-            else:
-                self._scores = np.concatenate(strips)
-                self._scores.flags.writeable = False
-        return self._scores
 
     def at(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The scores at pixels ``(y, x)``, gathered strip by strip."""
@@ -144,11 +124,11 @@ def regenerate_lut(
     surface: np.ndarray,
     params: HarrisParams,
     latest_event_t: int,
-    previous: HarrisLut | None = None,
+    previous: HarrisLut,
     dirty: np.ndarray | None = None,
     t_tos: int = 0,
 ) -> HarrisLut:
-    """Next LUT from a consistent TOS snapshot.
+    """The LUT after ``previous``, from a consistent TOS snapshot.
 
     ``surface`` is the raw TOS, whose cells below ``t_tos`` read as 0 (a
     snapped grid with the default 0 works too). The tiles marked in
@@ -156,15 +136,12 @@ def regenerate_lut(
     A strip they cover whole is a new array; one they cover in part is a
     copy of the previous strip with them written in; every other strip is
     the previous one. So the previous LUT is never written to and
-    publication stays an atomic swap. Without a previous LUT every tile is
-    recomputed.
+    publication stays an atomic swap. The first LUT follows
+    ``HarrisLut.blank``, the exact map of the all-zero TOS.
     """
     shape = np.shape(surface)
     rows = strip_rows(shape)
-    if previous is None:
-        strips, dirty, index = [None] * -(-shape[0] // rows), None, 1
-    else:
-        strips, index = list(previous.strips), previous.generation_index + 1
+    strips = list(previous.strips)
     rects = dirty_rects(shape, dirty)
     area = {}  # pixels written per strip
     for y0, y1, x0, x1 in rects:
@@ -178,39 +155,30 @@ def regenerate_lut(
         strips[k][y0 - k * rows : y1 - k * rows, x0:x1] = values
     for k in area:
         strips[k].flags.writeable = False
-    return HarrisLut(tuple(strips), int(latest_event_t), index, sum(area.values()))
-
-
-def _read_lut(lut: HarrisLut, chunk: EventStream, threshold_tr: float,
-              stats: PipelineStats) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-1 read: score every event of ``chunk`` from one LUT generation
-    and record each event's time gap to it."""
-    score = lut.at(chunk.y, chunk.x)
-    stats.record_t_err(np.abs(chunk.t.astype(np.int64) - lut.generated_at))
-    return score > threshold_tr, score
-
-
-def _no_tags(chunk: EventStream) -> Tags:
-    return Tags.for_stream(chunk, np.zeros(0, bool), np.zeros(0))
+    return HarrisLut(tuple(strips), int(latest_event_t), previous.generation_index + 1,
+                     sum(area.values()))
 
 
 class LuvHarrisDetector:
     """The luvHarris pipeline behind a streaming ``process`` interface;
     every call treats its events as pending input.
 
-    ``alternating``: phase 1 updates the TOS with the chunk, phase 2
-    regenerates the LUT once, and the chunk is tagged against the LUT from
-    before the update, so one large chunk amortises a regeneration as a
-    saturated live system would.
+    ``process`` computes the chunk's dirty tiles, then, under one lock,
+    updates the TOS with the chunk and ORs the tiles into the pending mask,
+    so a snapshot always lands between whole chunks. It then tags the chunk
+    by one read of ``self.lut``. Phase 2, ``_regenerate``, takes the
+    pending mask under the lock, regenerates the LUT and publishes it by
+    rebinding ``self.lut``.
 
-    ``dual_thread``: the caller updates the TOS and ORs the chunk's dirty
-    tiles into the pending mask under one lock, so the worker's snapshots
-    land between whole chunks, then tags the chunk by one read of the
-    published LUT. The worker sleeps until tiles are pending (all of them
-    at a cold start), takes the TOS copy and the mask together under the
-    lock, regenerates outside it, and publishes by rebinding ``self.lut``.
-    ``close`` lets it regenerate what is pending first. A worker failure is
-    re-raised once, by the next ``process`` or ``close``.
+    ``alternating``: ``process`` ends with one regeneration on the
+    caller's thread, reading the TOS in place, so one large chunk
+    amortises a regeneration as a saturated live system would.
+
+    ``dual_thread``: ``process`` wakes the worker instead. The worker
+    sleeps until tiles are pending, copies the TOS with the mask, and
+    regenerates outside the lock. ``close`` lets it regenerate what is
+    pending first. A worker failure is re-raised once, by the next
+    ``process`` or ``close``.
     """
 
     decision_direction = "greater"
@@ -220,12 +188,13 @@ class LuvHarrisDetector:
         self.geometry = geometry
         self.config = config or LuvHarrisConfig()
         self.tos = TosSurface(geometry, self.config.k_tos, self.config.effective_t_tos())
-        # cold start: all-zero scores, so early events are tagged not-corner
+        # cold start: the exact all-zero map, so early events are tagged
+        # not-corner and nothing is pending
         self.lut = HarrisLut.blank((geometry.height, geometry.width))
         self.stats = PipelineStats()
-        # dual_thread state, shared with the worker under _wake's lock
+        # phase 1 and phase 2 share these under _wake's lock
         self._wake = threading.Condition()
-        self._dirty = np.ones(tile_grid(self.tos.raw.shape), dtype=bool)
+        self._dirty = np.zeros(tile_grid(self.tos.raw.shape), dtype=bool)
         self._latest_t = 0
         self._stopping = False
         self._worker: threading.Thread | None = None
@@ -252,33 +221,13 @@ class LuvHarrisDetector:
         self._reraise()
 
     def process(self, chunk: EventStream) -> Tags:
-        if self.config.mode == "dual_thread":
-            return self._hand_over(chunk)
-        if len(chunk) == 0:
-            return _no_tags(chunk)
-        t0 = time.perf_counter()
-        self.tos.update_many(chunk.x, chunk.y)
-        t1 = time.perf_counter()
-        before = self.lut
-        dirty = dirty_tiles(chunk.x, chunk.y, self.tos.raw.shape, self.config.dirty_radius())
-        self.lut = regenerate_lut(self.tos.raw, self.config.harris, int(chunk.t[-1]),
-                                  before, dirty, self.tos.t_tos)
-        t2 = time.perf_counter()
-        # tag against the LUT that existed while this chunk was consumed
-        is_corner, score = _read_lut(before, chunk, self.config.threshold_tr, self.stats)
-        self.stats.phase1_s += t1 - t0 + time.perf_counter() - t2
-        self.stats.record_generation(self.lut.pixels_regenerated, t2 - t1)
-        self.stats.max_batch_size = max(self.stats.max_batch_size, len(chunk))
-        self.stats.events_processed += len(chunk)
-        return Tags.for_stream(chunk, is_corner, score)
-
-    def _hand_over(self, chunk: EventStream) -> Tags:
-        """dual_thread phase 1: apply the chunk, mark its tiles pending for
-        the worker, and tag it against the published LUT."""
+        """Phase 1 on ``chunk``: update the TOS, mark its tiles pending and
+        tag it against the current LUT; then phase 2 (see the class)."""
         self._reraise()
         if len(chunk) == 0:
-            return _no_tags(chunk)
-        if self._worker is None:
+            return Tags.for_stream(chunk, np.zeros(0, bool), np.zeros(0))
+        alternating = self.config.mode == "alternating"
+        if not alternating and self._worker is None:
             self._worker = threading.Thread(target=self._regen_loop, name=WORKER_NAME,
                                             daemon=True)
             self._worker.start()
@@ -290,7 +239,8 @@ class LuvHarrisDetector:
             self._dirty |= dirty
             self._wake.notify()
         lut = self.lut  # one generation for the whole chunk, swapped atomically
-        is_corner, score = _read_lut(lut, chunk, self.config.threshold_tr, self.stats)
+        score = lut.at(chunk.y, chunk.x)
+        self.stats.record_t_err(np.abs(chunk.t.astype(np.int64) - lut.generated_at))
         if lut.generation_index != self._seen_gen:
             self._seen_gen = lut.generation_index
             self._since_swap = 0
@@ -298,7 +248,23 @@ class LuvHarrisDetector:
         self.stats.max_batch_size = max(self.stats.max_batch_size, self._since_swap)
         self.stats.events_processed += len(chunk)
         self.stats.phase1_s += time.perf_counter() - t0
-        return Tags.for_stream(chunk, is_corner, score)
+        if alternating:
+            self._regenerate(copy_tos=False)
+        return Tags.for_stream(chunk, score > self.config.threshold_tr, score)
+
+    def _regenerate(self, copy_tos: bool) -> None:
+        """Phase 2: one LUT generation from the pending tiles, published by
+        rebinding ``self.lut``. ``copy_tos`` snapshots the TOS under the
+        lock, for a thread other than the one that updates it."""
+        with self._wake:
+            raw = self.tos.raw.copy() if copy_tos else self.tos.raw
+            dirty, self._dirty = self._dirty, np.zeros_like(self._dirty)
+            latest = self._latest_t
+        t0 = time.perf_counter()
+        # through the module global, so tracing it sees the worker too
+        self.lut = regenerate_lut(raw, self.config.harris, latest, self.lut,
+                                  dirty, self.tos.t_tos)
+        self.stats.record_generation(self.lut.pixels_regenerated, time.perf_counter() - t0)
 
     def _regen_loop(self) -> None:
         try:
@@ -308,15 +274,7 @@ class LuvHarrisDetector:
                         self._wake.wait()
                     if not self._dirty.any():
                         return
-                    raw = self.tos.raw.copy()
-                    dirty, self._dirty = self._dirty, np.zeros_like(self._dirty)
-                    latest = self._latest_t
-                t0 = time.perf_counter()
-                # through the module global, so tracing it sees this thread too
-                self.lut = regenerate_lut(raw, self.config.harris, latest, self.lut,
-                                          dirty, self.tos.t_tos)
-                self.stats.record_generation(self.lut.pixels_regenerated,
-                                             time.perf_counter() - t0)
+                self._regenerate(copy_tos=True)
         except Exception as e:
             self._error = e
 

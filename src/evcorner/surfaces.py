@@ -96,11 +96,6 @@ class TosSurface:
         """Observable surface, values in {0} union [t_tos, 255]. Fresh array."""
         return np.where(self.raw >= self.t_tos, self.raw, 0)
 
-    def update(self, event: Event) -> None:
-        if not self.geometry.contains(event.x, event.y):
-            raise GeometryViolation(f"({event.x},{event.y}) outside surface")
-        self.update_many([event.x], [event.y])
-
     def update_many(self, xs, ys) -> None:
         """Apply pre-validated events in order (column arrays or int lists).
 

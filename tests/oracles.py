@@ -371,7 +371,12 @@ class IdealHarrisOracle:
         return is_corner, score
 
 
-# --- fresh-LUT read schedule over the library detector ----------------------
+# --- LUTs: the full frame and a fresh-LUT read schedule ---------------------
+
+def lut_scores(lut) -> np.ndarray:
+    """A ``HarrisLut``'s full-frame scores, joined from its row strips."""
+    return np.concatenate(lut.strips)
+
 
 class FreshLutDetector:
     """An alternating luvHarris detector fed ``batch``-event calls, with
@@ -396,6 +401,6 @@ class FreshLutDetector:
         scores = [np.zeros(0)]
         for part in chunk.chunks(self.batch):
             self.det.process(part)
-            scores.append(self.det.lut.scores[part.y, part.x])
+            scores.append(self.det.lut.at(part.y, part.x))
         score = np.concatenate(scores)
         return Tags.for_stream(chunk, score > self.det.config.threshold_tr, score)

@@ -14,7 +14,6 @@ def test_config_file_parsing(tmp_path):
     path = tmp_path / "det.conf"
     path.write_text(
         "# pipeline settings\n"
-        "detector = luvharris\n"
         "k_tos = 4\n"
         "t_tos = 20\n"
         "block_size = 5\n"
@@ -30,7 +29,7 @@ def test_config_file_parsing(tmp_path):
     assert cfg.threshold_tr == 1e9
 
 
-def test_config_rejects_unknown_and_malformed(tmp_path):
+def test_config_rejects_unknown_and_malformed(tmp_path, capsys):
     bad1 = tmp_path / "a.conf"
     bad1.write_text("mystery = 3\n")
     with pytest.raises(InvalidParameter):
@@ -39,6 +38,20 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
     bad2.write_text("threshold_tr\n")
     with pytest.raises(InvalidParameter):
         load_config(bad2)
+    # keys that no detector reads: the detector and the pre-filters are
+    # chosen on the command line
+    src = tmp_path / "events.csv"
+    write_stream(random_stream(SensorGeometry(16, 16), 50, seed=2), src)
+    for line in ("detector = arc", "refractory_us = 0", "sp_window_us = 0",
+                 "sp_neighborhood = 2"):
+        conf = tmp_path / "dead.conf"
+        conf.write_text(line + "\n")
+        with pytest.raises(InvalidParameter):
+            load_config(conf)
+        rc = main(["detect", "--in", str(src), "--config", str(conf),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_build_detector_by_name():
@@ -145,8 +158,9 @@ def test_cli_rejects_bad_input_with_typed_error(tmp_path, capsys, text, extra):
     ["render", "--mode", "tos", "--out", "{tmp}/t.pgm"],
     ["render", "--mode", "tos", "--in", "{src}"],
     ["render", "--mode", "trails"],
+    ["filter", "--in", "{src}", "--out", "{tmp}/f.csv", "--threshold", "1"],
 ], ids=["missing-input", "missing-output-dir", "zero-packet", "zero-runs",
-        "tos-without-in", "tos-without-out", "trails-without-tags"])
+        "tos-without-in", "tos-without-out", "trails-without-tags", "filter-threshold"])
 def test_cli_reports_bad_arguments_and_paths_without_traceback(tmp_path, capsys, argv):
     src = _write_events(tmp_path, random_stream(SensorGeometry(16, 16), 200, seed=3))
     try:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evcorner import (EventStream, FilterConfig, InvalidParameter, SensorGeometry,
+from evcorner import (EventStream, InvalidParameter, SensorGeometry,
                       refractory_filter, sp_filter)
 from evcorner.synth import random_stream
 
@@ -106,10 +106,12 @@ def test_filters_output_subset_in_order():
 
 
 def test_filter_config_validation():
+    stream = random_stream(SensorGeometry(8, 8), 10)
     with pytest.raises(InvalidParameter):
-        FilterConfig(refractory_us=-1)
-    with pytest.raises(InvalidParameter):
-        refractory_filter(random_stream(SensorGeometry(8, 8), 10), -5)
+        refractory_filter(stream, -5)
+    for window, neighborhood in ((-1, 1), (10, -1)):
+        with pytest.raises(InvalidParameter):
+            sp_filter(stream, window, neighborhood)
 
 
 def _edge_stream(w, h, n, seed, span_us, validate=True):

@@ -1,6 +1,7 @@
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,14 +14,12 @@ from evcorner import (
     ImageTooSmall,
     LuvHarrisConfig,
     LuvHarrisDetector,
-    PipelineStats,
     SensorGeometry,
     TosSurface,
     harris_response_map,
     regenerate_lut,
 )
-from evcorner.harris import dirty_tiles
-from evcorner.luvharris import _read_lut
+from evcorner.harris import TILE, dirty_tiles, strip_rows
 from evcorner.synth import moving_corner_stream, random_stream, wedge_stream
 
 from conftest import luvharris_run
@@ -28,22 +27,35 @@ from oracles import (
     FreshLutDetector,
     IdealHarrisOracle,
     WindowedTos,
+    lut_scores,
     naive_tos_apply,
     naive_tos_new,
 )
 
 
+def _lut(scores, generated_at, generation_index):
+    """A LUT of the full-frame ``scores``, cut into the frame's strips."""
+    rows = strip_rows(scores.shape)
+    return HarrisLut(tuple(scores[y : y + rows] for y in range(0, len(scores), rows)),
+                     generated_at, generation_index)
+
+
 def _read(lut, events, threshold_tr):
-    """Tag (t, x, y) events by one ``_read_lut`` call on a stream of the
-    LUT's size."""
-    h, w = lut.scores.shape
+    """Tag (t, x, y) events by one ``process`` call of a detector holding
+    ``lut``, on a stream of the LUT's size."""
+    h, w = lut_scores(lut).shape
     t, x, y = (np.array(c) for c in zip(*events))
     stream = EventStream.from_arrays(SensorGeometry(w, h), t, x, y, np.ones(len(t)))
-    return _read_lut(lut, stream, threshold_tr, PipelineStats())
+    # 3x3 kernels fit the regeneration that follows the read into 8x8
+    det = LuvHarrisDetector(stream.geometry, LuvHarrisConfig(
+        threshold_tr=threshold_tr, harris=HarrisParams(block_size=3, sobel_aperture=3)))
+    det.lut = lut
+    tags = det.process(stream)
+    return tags.is_corner, tags.score
 
 
 def test_classify_cold_start_not_corner():
-    lut = HarrisLut.from_frame(np.zeros((8, 8)), 0, 0)
+    lut = _lut(np.zeros((8, 8)), 0, 0)
     is_corner, score = _read(lut, [(1, 3, 4)], 0.01)
     assert is_corner.tolist() == [False] and score.tolist() == [0.0]
 
@@ -51,7 +63,7 @@ def test_classify_cold_start_not_corner():
 def test_classify_reads_lut_cell():
     scores = np.zeros((8, 8))
     scores[4, 3] = 5.0
-    lut = HarrisLut.from_frame(scores, 10, 1)
+    lut = _lut(scores, 10, 1)
     is_corner, score = _read(lut, [(11, 3, 4)], 1.0)
     assert is_corner.tolist() == [True] and score.tolist() == [5.0]
     # an event outside the LUT's frame cannot reach the read
@@ -61,7 +73,7 @@ def test_classify_reads_lut_cell():
 
 def test_classify_threshold_sweep_monotone():
     rng = np.random.default_rng(0)
-    lut = HarrisLut.from_frame(rng.normal(0, 1, (16, 16)), 0, 1)
+    lut = _lut(rng.normal(0, 1, (16, 16)), 0, 1)
     events = [(i, int(rng.integers(0, 16)), int(rng.integers(0, 16))) for i in range(200)]
     counts = []
     for thr in np.linspace(-2, 2, 9):
@@ -73,21 +85,17 @@ def test_lut_reads_strip_by_strip_equal_full_frame_reads():
     # 1300x100 is four strips (three of 32 rows, one of 4)
     rng = np.random.default_rng(3)
     scores = rng.normal(0, 1, (100, 1300))
-    lut = HarrisLut.from_frame(scores, 0, 1)
+    lut = _lut(scores, 0, 1)
     assert [len(s) for s in lut.strips] == [32, 32, 32, 4]
-    # a copy, read-only like the strips of a regenerated LUT
-    assert lut.scores is not scores and np.array_equal(lut.scores, scores)
-    assert not any(s.flags.writeable for s in (*lut.strips, lut.scores))
+    assert np.array_equal(lut_scores(lut), scores)
     spread = [(i, int(rng.integers(0, 1300)), int(rng.integers(0, 100))) for i in range(300)]
     one_strip = [(i, x, y % 32 + 64) for i, x, y in spread]
     for events in (spread, one_strip, spread[:1]):
         _, y = _read(lut, events, 0.0)
         want = scores[[e[2] for e in events], [e[1] for e in events]]
         assert np.array_equal(y, want)
-    # rebuilt from its strips, the frame reads the same
-    assert np.array_equal(HarrisLut(lut.strips, 0, 1).scores, scores)
     blank = HarrisLut.blank((100, 1300))
-    assert blank.scores.shape == (100, 1300) and not blank.scores.any()
+    assert lut_scores(blank).shape == (100, 1300) and not lut_scores(blank).any()
     assert [len(s) for s in blank.strips] == [32, 32, 32, 4]
 
 
@@ -97,7 +105,8 @@ def test_one_tile_generation_copies_one_strip_and_shares_the_rest():
     tos = TosSurface(g, cfg.k_tos, cfg.effective_t_tos())
     stream = random_stream(g, 5000, seed=9)
     tos.update_many(stream.x, stream.y)
-    first = regenerate_lut(tos.raw, cfg.harris, 1, t_tos=tos.t_tos)
+    first = regenerate_lut(tos.raw, cfg.harris, 1, HarrisLut.blank(tos.raw.shape),
+                           t_tos=tos.t_tos)
     # an event in the middle of tile (9, 18), in the strip of rows 256-319
     tos.update_many([592], [304])
     dirty = dirty_tiles([592], [304], tos.raw.shape, cfg.dirty_radius())
@@ -114,20 +123,21 @@ def test_one_tile_generation_copies_one_strip_and_shares_the_rest():
     assert nxt.pixels_regenerated == 32 * 32
     shared = [a is b for a, b in zip(nxt.strips, first.strips)]
     assert shared == [k != 4 for k in range(12)]
-    assert np.array_equal(nxt.scores, harris_response_map(tos.grid, cfg.harris))
+    assert not any(s.flags.writeable for s in nxt.strips)
+    assert np.array_equal(lut_scores(nxt), harris_response_map(tos.grid, cfg.harris))
 
 
 def test_regenerate_blank_and_deterministic():
     g = SensorGeometry(32, 32)
     tos = TosSurface(g)
     p = HarrisParams()
-    lut1 = regenerate_lut(tos.grid, p, 100)
-    assert not lut1.scores.any()
+    lut1 = regenerate_lut(tos.grid, p, 100, HarrisLut.blank(tos.grid.shape))
+    assert not lut_scores(lut1).any()
     assert lut1.generation_index == 1 and lut1.generated_at == 100
     tos.update_many([5, 6, 7], [5, 5, 5])
     lut2 = regenerate_lut(tos.grid, p, 200, lut1)
     lut3 = regenerate_lut(tos.grid, p, 200, lut2)
-    assert np.array_equal(lut2.scores, lut3.scores)
+    assert np.array_equal(lut_scores(lut2), lut_scores(lut3))
     assert lut3.generation_index == 3
 
 
@@ -137,9 +147,11 @@ def test_regenerate_wedge_apex_beats_edges(geometry):
     stream, probes = wedge_stream(geometry, 32, 32, 90, radius=14)
     tos = TosSurface(geometry)
     tos.update_many(stream.x, stream.y)
-    lut = regenerate_lut(tos.grid, HarrisParams(), int(stream.t[-1]))
-    apex = lut.scores[32, 32]
-    assert apex > lut.scores[32, 39] and apex > lut.scores[39, 32]
+    lut = regenerate_lut(tos.grid, HarrisParams(), int(stream.t[-1]),
+                         HarrisLut.blank(tos.grid.shape))
+    scores = lut_scores(lut)
+    apex = scores[32, 32]
+    assert apex > scores[32, 39] and apex > scores[39, 32]
     assert apex > 0
 
 
@@ -196,7 +208,7 @@ def test_alternating_tags_each_call_from_the_lut_before_it():
         part = stream.slice(int(i0), int(i1))
         prev = det.lut
         tags = det.process(part)
-        assert np.array_equal(tags.score, prev.scores[part.y, part.x])
+        assert np.array_equal(tags.score, lut_scores(prev)[part.y, part.x])
         assert np.array_equal(tags.is_corner, tags.score > 1e8)
         assert det.lut.generation_index == prev.generation_index + (len(part) > 0)
     assert det.stats.lut_generations == det.lut.generation_index == 40
@@ -269,7 +281,7 @@ def test_dual_thread_luts_are_event_consistent():
         for i in range(applied, prefix):
             naive_tos_apply(ref, int(stream.x[i]), int(stream.y[i]), k, t_tos)
         applied = prefix
-        assert np.array_equal(lut.scores, harris_response_map(np.array(ref), cfg.harris)), (
+        assert np.array_equal(lut_scores(lut), harris_response_map(np.array(ref), cfg.harris)), (
             f"generation {lut.generation_index}: LUT after {prefix} events is torn"
         )
 
@@ -293,18 +305,18 @@ def test_published_luts_stay_unchanged(mode):
         for part in stream.chunks(97):
             pipe.process(part)
             lut = pipe.lut
-            seen.setdefault(lut.generation_index, (lut, lut.scores.copy()))
+            seen.setdefault(lut.generation_index, (lut, lut_scores(lut)))
             deadline = time.monotonic() + 10
             while pipe.lut.generated_at != part.t[-1] and time.monotonic() < deadline:
                 time.sleep(0.001)
             lut = pipe.lut
-            seen.setdefault(lut.generation_index, (lut, lut.scores.copy()))
+            seen.setdefault(lut.generation_index, (lut, lut_scores(lut)))
     finally:
         pipe.close()
         sys.setswitchinterval(interval)
     assert len(seen) > 20
     for index, (lut, at_publication) in seen.items():
-        assert np.array_equal(np.concatenate(lut.strips), at_publication), (
+        assert np.array_equal(lut_scores(lut), at_publication), (
             f"generation {index} changed after it was published"
         )
 
@@ -382,7 +394,7 @@ def test_dirty_tile_luts_equal_full_map_of_naive_tos(width, height, k_tos, block
             det.process(stream.slice(int(i0), int(i1)))
             for x, y in zip(stream.x[i0:i1].tolist(), stream.y[i0:i1].tolist()):
                 ref.apply(x, y)
-            assert np.array_equal(det.lut.scores, harris_response_map(ref.grid, cfg.harris)), (
+            assert np.array_equal(lut_scores(det.lut), harris_response_map(ref.grid, cfg.harris)), (
                 f"{name}: LUT after {i1} events differs from the full-frame map"
             )
 
@@ -404,9 +416,37 @@ def test_dual_thread_dirty_tile_luts_equal_full_map_of_naive_tos():
                 deadline = time.monotonic() + 10
                 while pipe.lut.generated_at != part.t[-1] and time.monotonic() < deadline:
                     time.sleep(0.001)
-                assert np.array_equal(pipe.lut.scores, harris_response_map(ref.grid, cfg.harris))
+                assert np.array_equal(lut_scores(pipe.lut),
+                                      harris_response_map(ref.grid, cfg.harris))
         finally:
             pipe.close()
+
+
+def test_both_modes_start_clear_and_end_on_the_exact_map():
+    # the cold-start LUT is already the exact map of the all-zero TOS, so a
+    # dual_thread detector regenerates only the tiles its first chunk dirties
+    g = SensorGeometry(100, 70)
+    cfg = LuvHarrisConfig(threshold_tr=1e9)
+    rng = np.random.default_rng(31)
+    n = 40
+    first = EventStream.from_arrays(g, np.arange(1, n + 1), rng.integers(85, 100, n),
+                                    rng.integers(55, 70, n), np.ones(n))
+    with LuvHarrisDetector(g, replace(cfg, mode="dual_thread")) as det:
+        det.process(first)
+    dirty = dirty_tiles(first.x, first.y, (70, 100), cfg.dirty_radius())
+    area = int(np.kron(dirty, np.ones((TILE, TILE), dtype=int))[:70, :100].sum())
+    assert det.stats.pixels_regenerated == area < 100 * 70
+    # fed the same chunks, both modes end on the full-frame map of the naive TOS
+    stream = random_stream(g, 300, seed=32)
+    ref = naive_tos_new(100, 70)
+    for x, y in zip(stream.x.tolist(), stream.y.tolist()):
+        naive_tos_apply(ref, x, y, cfg.k_tos, cfg.effective_t_tos())
+    want = harris_response_map(np.array(ref), cfg.harris)
+    for mode in ("alternating", "dual_thread"):
+        with LuvHarrisDetector(g, replace(cfg, mode=mode)) as det:
+            for part in stream.chunks(37):
+                det.process(part)
+        assert np.array_equal(lut_scores(det.lut), want), mode
 
 
 def test_regenerated_pixels_follow_the_dirty_area():

@@ -6,6 +6,7 @@ import pytest
 from evcorner import (
     BinaryWindowSurface,
     Event,
+    EventStream,
     GeometryViolation,
     InvalidParameter,
     SaeSurface,
@@ -28,7 +29,7 @@ def test_default_threshold_values():
 
 def test_tos_blank_fire_leaves_neighbors_zero():
     surf = TosSurface(SensorGeometry(32, 32), k_tos=3)
-    surf.update(Event(100, 10, 10, True))
+    surf.update_many([10], [10])
     g = surf.grid
     assert g[10, 10] == 255
     g[10, 10] = 0
@@ -37,8 +38,8 @@ def test_tos_blank_fire_leaves_neighbors_zero():
 
 def test_tos_single_decrement_above_threshold():
     surf = TosSurface(SensorGeometry(32, 32), k_tos=3)  # t_tos = 12
-    surf.update(Event(1, 9, 10, True))
-    surf.update(Event(2, 10, 10, True))
+    surf.update_many([9], [10])
+    surf.update_many([10], [10])
     g = surf.grid
     assert g[10, 9] == 254  # decremented once, still >= 12
     assert g[10, 10] == 255
@@ -188,8 +189,9 @@ def test_tos_border_safety():
     surf.update_many([15], [11])
     g = surf.grid
     assert g[0, 0] == 255 and g[11, 15] == 255
+    # an out-of-frame event cannot reach the surface
     with pytest.raises(GeometryViolation):
-        surf.update(Event(1, 16, 0, True))
+        EventStream.from_arrays(SensorGeometry(16, 12), [1], [16], [0], [1])
 
 
 def test_tos_rejects_bad_params():
