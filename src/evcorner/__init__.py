@@ -50,8 +50,6 @@ from .evaluate import (
     write_ground_truth,
 )
 from .events import (
-    CornerTag,
-    Event,
     EventStream,
     SensorGeometry,
     Tags,
@@ -76,9 +74,4 @@ from .luvharris import (
 )
 from .render import export_plot_data, read_pgm, render_tos, render_trails, save_frames, write_pgm
 from .stats import PipelineStats
-from .surfaces import (
-    BinaryWindowSurface,
-    SaeSurface,
-    TosSurface,
-    tos_default_threshold,
-)
+from .surfaces import TosSurface, tos_default_threshold

@@ -20,9 +20,11 @@ from strict ~90-degree corners to "anything within 180 degrees":
 * ARC folds reflex arcs to their complement (angle = min(L, N-L)/N * 360),
   accepting both convex and reflex corners; strictly more permissive.
 
-Minimum arc lengths (3 on the inner ring, 4 on the outer) and the default
-acceptance angle of 144 degrees reproduce the customary integer bounds
-[3,6] / [4,8] plus, for ARC, their reflex complements [10,13] / [12,16].
+The radii and the minimum arc lengths (3 on the inner ring, 4 on the outer)
+are fixed module constants; only the acceptance angle is configured. Those
+lengths and the default acceptance angle of 144 degrees reproduce the
+customary integer bounds [3,6] / [4,8] plus, for ARC, their reflex
+complements [10,13] / [12,16].
 
 FAST searches candidate arcs by enumeration with early exits; ARC walks the
 ring once in recency order, maintaining a run count. Both implementations
@@ -44,7 +46,6 @@ from .errors import InvalidParameter
 from .events import EventStream, SensorGeometry, Tags
 from .harris import HarrisParams, PatchEvaluator
 from .stats import PipelineStats
-from .surfaces import BinaryWindowSurface, SaeSurface
 
 CIRCLE3 = (
     (0, 3), (1, 3), (2, 2), (3, 1), (3, 0), (3, -1), (2, -2), (1, -3),
@@ -56,6 +57,11 @@ CIRCLE4 = (
     (-4, 1), (-3, 2), (-2, 3), (-1, 4),
 )
 
+INNER_RADIUS = 3  # CIRCLE3
+OUTER_RADIUS = 4  # CIRCLE4, and the border margin of the ring detectors
+INNER_MIN_LENGTH = 3  # shortest arc accepted on CIRCLE3
+OUTER_MIN_LENGTH = 4  # shortest arc accepted on CIRCLE4
+
 NO_ARC = math.inf  # score of an event with no acceptable arc at any angle
 
 WINDOW_US = 10_000  # stream time per process_chunked batch
@@ -64,17 +70,9 @@ MAX_CALL_EVENTS = 65_536  # largest process call of process_chunked and measure_
 
 @dataclass(frozen=True)
 class ArcRingConfig:
-    inner_radius: int = 3
-    outer_radius: int = 4
-    inner_min_length: int = 3
-    outer_min_length: int = 4
     max_angle_deg: float = 144.0
 
     def __post_init__(self):
-        if self.inner_radius != 3 or self.outer_radius != 4:
-            raise InvalidParameter("ring radii are fixed at 3 and 4")
-        if self.inner_min_length < 1 or self.outer_min_length < 1:
-            raise InvalidParameter("minimum arc lengths must be >= 1")
         if not self.max_angle_deg > 0:
             raise InvalidParameter("max_angle_deg must be positive")
 
@@ -88,6 +86,8 @@ class EHarrisConfig:
     def __post_init__(self):
         if self.window_us <= 0:
             raise InvalidParameter(f"window must be positive, got {self.window_us}")
+        if not np.isfinite(self.threshold_tr):
+            raise InvalidParameter("threshold_tr must be finite")
 
 
 def _flat_offsets(circle, width: int) -> np.ndarray:
@@ -156,18 +156,20 @@ def _min_folded_angle(vals: np.ndarray, n: int, lmin: int, deg_per: float) -> fl
 
 
 class _RingDetector:
-    """Common shell for the two ring-pattern detectors."""
+    """Common shell for the two ring-pattern detectors.
+
+    ``last_fire`` is the row-major flat map of each pixel's last-fire time;
+    0 means the pixel never fired.
+    """
 
     decision_direction = "lesser"
 
     def __init__(self, geometry: SensorGeometry, config: ArcRingConfig | None = None):
         self.geometry = geometry
         self.config = config or ArcRingConfig()
-        self.sae = SaeSurface(geometry)
-        self._flat = self.sae.grid.ravel()
+        self.last_fire = np.zeros(geometry.height * geometry.width, dtype=np.uint64)
         self._off3 = _flat_offsets(CIRCLE3, geometry.width)
         self._off4 = _flat_offsets(CIRCLE4, geometry.width)
-        self._margin = self.config.outer_radius
         self.stats = PipelineStats()
 
     def _ring_angle(self, vals, n: int, lmin: int, deg_per: float) -> float:
@@ -177,18 +179,15 @@ class _RingDetector:
         n = len(chunk)
         is_corner = np.empty(n, dtype=bool)
         score = np.empty(n, dtype=np.float64)
-        cfg = self.config
         w = self.geometry.width
         h = self.geometry.height
-        m = self._margin
+        m = OUTER_RADIUS
         xmax = w - m
         ymax = h - m
-        flat = self._flat
+        flat = self.last_fire
         off3 = self._off3
         off4 = self._off4
-        lmin3 = cfg.inner_min_length
-        lmin4 = cfg.outer_min_length
-        thr = cfg.max_angle_deg
+        thr = self.config.max_angle_deg
         ring_angle = self._ring_angle
         xs = chunk.x.tolist()
         ys = chunk.y.tolist()
@@ -203,12 +202,12 @@ class _RingDetector:
                 score[i] = NO_ARC
                 is_corner[i] = False
                 continue
-            a3 = ring_angle(flat[off3 + base], 16, lmin3, 22.5)
+            a3 = ring_angle(flat[off3 + base], 16, INNER_MIN_LENGTH, 22.5)
             if a3 == NO_ARC:
                 score[i] = NO_ARC
                 is_corner[i] = False
                 continue
-            a4 = ring_angle(flat[off4 + base], 20, lmin4, 18.0)
+            a4 = ring_angle(flat[off4 + base], 20, OUTER_MIN_LENGTH, 18.0)
             s = a3 if a3 >= a4 else a4  # both rings must accept: worst angle rules
             score[i] = s
             is_corner[i] = s <= thr
@@ -235,10 +234,12 @@ class ArcDetector(_RingDetector):
 class EHarrisDetector:
     """Event-wise Harris over a sliding-window binary surface.
 
-    Per event: mark the pixel, lift the mirror-padded local patch of the
-    binary image (values 0/255, so thresholds stay comparable with the
-    surface-based pipeline), and evaluate the Harris response at the event
-    pixel.
+    ``last_fire`` holds each pixel's last-fire time, -1 where the pixel never
+    fired; a pixel is set when it fired at most ``config.window_us`` before
+    the current event. Per event: mark the pixel, lift the mirror-padded
+    local patch of the binary image (values 0/255, so thresholds stay
+    comparable with the surface-based pipeline), and evaluate the Harris
+    response at the event pixel.
     """
 
     decision_direction = "greater"
@@ -247,7 +248,7 @@ class EHarrisDetector:
     def __init__(self, geometry: SensorGeometry, config: EHarrisConfig | None = None):
         self.geometry = geometry
         self.config = config or EHarrisConfig()
-        self.surface = BinaryWindowSurface(geometry, self.config.window_us)
+        self.last_fire = np.full((geometry.height, geometry.width), -1, dtype=np.int64)
         self.evaluator = PatchEvaluator((geometry.height, geometry.width), self.config.harris)
         self.stats = PipelineStats()
 
@@ -256,8 +257,8 @@ class EHarrisDetector:
         is_corner = np.empty(n, dtype=bool)
         score = np.empty(n, dtype=np.float64)
         ev = self.evaluator
-        last = self.surface.last_fire
-        win = self.surface.window_us
+        last = self.last_fire
+        win = self.config.window_us
         thr = self.config.threshold_tr
         span = ev._span
         mrow = ev.mrow

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CountMismatch, FormatError, Misalignment, RecallNotSpanned
+from .errors import CountMismatch, FormatError, InvalidParameter, Misalignment, RecallNotSpanned
 from .events import EventStream, Tags
 
 GT_MAGIC = "# evcorner v1 gtscores"
@@ -36,7 +36,7 @@ class GroundTruth:
 
 def binarize_scores(scores: np.ndarray, corner_fraction: float) -> GroundTruth:
     if not 0.0 < corner_fraction < 1.0:
-        raise ValueError(f"corner_fraction must be in (0,1), got {corner_fraction}")
+        raise InvalidParameter(f"corner_fraction must be in (0,1), got {corner_fraction}")
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
     k = int(round(n * corner_fraction))

@@ -1,8 +1,8 @@
 """Event data model, stream containers, and file I/O.
 
-Streams are stored column-wise (numpy arrays for t, x, y, p) because every
-consumer in this package iterates or vectorises over whole streams; the
-scalar `Event` / `CornerTag` views exist for per-event APIs and tests.
+Streams and tags are stored column-wise (numpy arrays for t, x, y, p, plus
+is_corner and score for tags); every consumer in this package reads whole
+columns.
 
 File formats
 ------------
@@ -25,7 +25,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,13 +40,6 @@ MAX_SIDE = 65_536  # x and y are stored as uint16
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
 
 
-class Event(NamedTuple):
-    t: int
-    x: int
-    y: int
-    p: bool
-
-
 @dataclass(frozen=True)
 class SensorGeometry:
     width: int
@@ -58,9 +51,6 @@ class SensorGeometry:
                 f"geometry must be between 1x1 and {MAX_SIDE}x{MAX_SIDE}, "
                 f"got {self.width}x{self.height}"
             )
-
-    def contains(self, x: int, y: int) -> bool:
-        return 0 <= x < self.width and 0 <= y < self.height
 
 
 def _validate_columns(geometry: SensorGeometry, t, x, y) -> None:
@@ -114,13 +104,6 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i: int) -> Event:
-        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), bool(self.p[i]))
-
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield self[i]
-
     def slice(self, i0: int, i1: int) -> "EventStream":
         """View of events [i0, i1); shares the underlying arrays."""
         return EventStream(self.geometry, self.t[i0:i1], self.x[i0:i1], self.y[i0:i1], self.p[i0:i1])
@@ -145,14 +128,8 @@ class EventStream:
                 break
 
 
-class CornerTag(NamedTuple):
-    event: Event
-    is_corner: bool
-    score: float
-
-
 @dataclass
-class Tags(Sequence):
+class Tags:
     """Column-wise per-event classification output, in input order."""
 
     geometry: SensorGeometry
@@ -192,16 +169,6 @@ class Tags(Sequence):
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Tags(self.geometry, self.t[i], self.x[i], self.y[i], self.p[i],
-                        self.is_corner[i], self.score[i])
-        return CornerTag(
-            Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), bool(self.p[i])),
-            bool(self.is_corner[i]),
-            float(self.score[i]),
-        )
 
     def with_is_corner(self, is_corner: np.ndarray) -> "Tags":
         """Same events and scores, re-thresholded decision (shares arrays)."""

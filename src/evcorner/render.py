@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .bench import DelayTrace
-from .errors import FormatError
+from .errors import FormatError, InvalidParameter
 from .evaluate import PrCurve
 from .events import Tags, format_score
 from .surfaces import TosSurface
@@ -72,6 +72,8 @@ def render_tos(surface, path) -> None:
 
 def render_trails(tags: Tags, window_us: int = 100_000) -> list[np.ndarray]:
     """One frame per time window: non-corner events dim, corners bright."""
+    if window_us <= 0:
+        raise InvalidParameter(f"window_us must be positive, got {window_us}")
     if len(tags) == 0:
         return []
     g = tags.geometry

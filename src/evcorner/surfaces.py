@@ -1,29 +1,22 @@
-"""Event-surface data structures.
+"""The threshold-ordinal surface (TOS) that luvHarris reads.
 
-Three surfaces cover the detectors in this package:
+A firing pixel is set to 255, every cell of the surrounding (2k+1)^2 square
+(the centre included) is first decremented by 1, and any cell falling below
+the zero-threshold snaps to 0. Values therefore live in {0} union
+[t_tos, 255] and encode recency *order* with no time parameter at all.
 
-* :class:`TosSurface` — threshold-ordinal surface. A firing pixel is set to
-  255, every cell of the surrounding (2k+1)^2 square (the centre included)
-  is first decremented by 1, and any cell falling below the zero-threshold
-  snaps to 0. Values therefore live in {0} union [t_tos, 255] and encode
-  recency *order* with no time parameter at all.
-* :class:`SaeSurface` — per-pixel last-fire timestamp map used by the
-  arc-pattern detectors.
-* :class:`BinaryWindowSurface` — sliding-window binary occupancy used by the
-  event-wise Harris baseline.
-
-Surfaces are single-writer. A reader on another thread must copy
+The surface is single-writer. A reader on another thread must copy
 :attr:`TosSurface.raw` (or read :attr:`TosSurface.grid`) between calls to
 :meth:`TosSurface.update_many`, the one method that mutates the surface (the
-pipeline module owns that exclusion).
+luvharris module owns that exclusion).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import GeometryViolation, InvalidParameter
-from .events import Event, SensorGeometry
+from .errors import InvalidParameter
+from .events import SensorGeometry
 
 
 def tos_default_threshold(k_tos: int) -> int:
@@ -138,47 +131,3 @@ class TosSurface:
 
     def to_u8(self) -> np.ndarray:
         return self.grid.astype(np.uint8)
-
-
-class SaeSurface:
-    """Surface of active events: each cell holds the pixel's last-fire time.
-
-    0 means the pixel never fired; streams should start at t >= 1 if the
-    distinction matters.
-    """
-
-    def __init__(self, geometry: SensorGeometry):
-        self.geometry = geometry
-        self.grid = np.zeros((geometry.height, geometry.width), dtype=np.uint64)
-
-    def update(self, event: Event) -> None:
-        if not self.geometry.contains(event.x, event.y):
-            raise GeometryViolation(f"({event.x},{event.y}) outside surface")
-        self.grid[event.y, event.x] = event.t
-
-
-class BinaryWindowSurface:
-    """Sliding-window binary image: cell is set iff it fired within `window`."""
-
-    def __init__(self, geometry: SensorGeometry, window_us: int = 10_000):
-        if window_us <= 0:
-            raise InvalidParameter(f"window must be positive, got {window_us}")
-        self.geometry = geometry
-        self.window_us = int(window_us)
-        # -1 marks never-fired; timestamps fit comfortably in int64
-        self.last_fire = np.full((geometry.height, geometry.width), -1, dtype=np.int64)
-
-    def update(self, event: Event) -> None:
-        if not self.geometry.contains(event.x, event.y):
-            raise GeometryViolation(f"({event.x},{event.y}) outside surface")
-        self.last_fire[event.y, event.x] = event.t
-
-    def read(self, x: int, y: int, now: int) -> bool:
-        if not self.geometry.contains(x, y):
-            raise GeometryViolation(f"({x},{y}) outside surface")
-        last = int(self.last_fire[y, x])
-        return last >= 0 and now - last <= self.window_us
-
-    def to_u8(self, now: int) -> np.ndarray:
-        live = (self.last_fire >= 0) & ((now - self.last_fire) <= self.window_us)
-        return live.astype(np.uint8) * 255

@@ -20,7 +20,9 @@ from evcorner import (
 from evcorner.baselines import (
     CIRCLE3,
     CIRCLE4,
+    INNER_RADIUS,
     MAX_CALL_EVENTS,
+    OUTER_RADIUS,
     WINDOW_US,
     _min_direct_angle,
     _min_folded_angle,
@@ -38,7 +40,7 @@ from oracles import oracle_direct_angle, oracle_folded_angle
 
 
 def test_ring_layouts():
-    for circle, n, radius in ((CIRCLE3, 16, 3), (CIRCLE4, 20, 4)):
+    for circle, n, radius in ((CIRCLE3, 16, INNER_RADIUS), (CIRCLE4, 20, OUTER_RADIUS)):
         assert len(set(circle)) == n
         for (dx0, dy0), (dx1, dy1) in zip(circle, circle[1:] + circle[:1]):
             assert max(abs(dx1 - dx0), abs(dy1 - dy0)) == 1  # angular neighbours touch
@@ -136,11 +138,60 @@ def test_detectors_preserve_order_and_count(geometry):
 
 def test_ring_config_validation():
     with pytest.raises(InvalidParameter):
-        ArcRingConfig(inner_radius=2)
-    with pytest.raises(InvalidParameter):
         ArcRingConfig(max_angle_deg=0)
     with pytest.raises(InvalidParameter):
         EHarrisConfig(window_us=0)
+    with pytest.raises(InvalidParameter):
+        EHarrisConfig(threshold_tr=math.nan)
+
+
+def test_ring_last_fire_updates():
+    g = SensorGeometry(8, 8)
+    det = FastDetector(g)
+    det.process(make_stream(g, [(500, 1, 1)]))
+    assert det.last_fire.reshape(8, 8)[1, 1] == 500
+    det.process(make_stream(g, [(900, 1, 1, 0)]))
+    assert det.last_fire.reshape(8, 8)[1, 1] == 900
+    assert np.count_nonzero(det.last_fire) == 1  # 0: never fired
+
+
+def test_ring_last_fire_equals_per_pixel_max_over_stream():
+    rng = np.random.default_rng(2)
+    g = SensorGeometry(10, 10)
+    ref = np.zeros((10, 10), dtype=np.uint64)
+    events = []
+    t = 1
+    for _ in range(500):
+        x = int(rng.integers(0, 10))
+        y = int(rng.integers(0, 10))
+        events.append((t, x, y))
+        ref[y, x] = max(ref[y, x], t)
+        t += int(rng.integers(0, 3))
+    for Detector in (FastDetector, ArcDetector):
+        det = Detector(g)
+        process_chunked(det, make_stream(g, events))
+        assert np.array_equal(det.last_fire.reshape(10, 10), ref)
+
+
+def test_eharris_window_boundary():
+    # a neighbour fired exactly window_us before the event is set in the
+    # binary image; one fired window_us + 1 before is not, like a pixel
+    # that never fired
+    g = SensorGeometry(16, 16)
+    cfg = EHarrisConfig(window_us=10_000)
+    lone = np.zeros((16, 16))
+    lone[8, 8] = 255.0
+    pair = lone.copy()
+    pair[7, 8] = 255.0
+    want = {img: harris_response_map(a, cfg.harris)[8, 8]
+            for img, a in (("lone", lone), ("pair", pair))}
+    assert want["lone"] != want["pair"]
+    for age, img in ((10_000, "pair"), (10_001, "lone")):
+        det = EHarrisDetector(g, cfg)
+        tags = det.process(make_stream(g, [(1000, 8, 7), (1000 + age, 8, 8)]))
+        assert det.last_fire[7, 8] == 1000 and det.last_fire[8, 8] == 1000 + age
+        assert det.last_fire[0, 0] == -1  # never fired
+        assert math.isclose(tags.score[1], want[img], rel_tol=1e-9, abs_tol=1e-9)
 
 
 # --- eharris ---------------------------------------------------------------
@@ -193,7 +244,7 @@ def test_eharris_infinite_window_matches_full_image_harris(geometry):
     det = EHarrisDetector(geometry, cfg)
     det.process(first)
     tags = det.process(replay)
-    img = (det.surface.last_fire >= 0) * 255.0
+    img = (det.last_fire >= 0) * 255.0
     full = harris_response_map(img, cfg.harris)
     want = full[replay.y, replay.x]
     rel = np.abs(tags.score - want) / np.maximum(1.0, np.abs(want))

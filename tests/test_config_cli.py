@@ -3,7 +3,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from evcorner import InvalidParameter, SensorGeometry, read_stream, read_tags, write_stream
+from evcorner import (
+    InvalidParameter,
+    SensorGeometry,
+    Tags,
+    read_stream,
+    read_tags,
+    write_ground_truth,
+    write_stream,
+    write_tags,
+)
 from evcorner.cli import main
 from evcorner.config import build_detector, load_config, luvharris_config_from
 from evcorner.render import read_pgm
@@ -159,10 +168,26 @@ def test_cli_rejects_bad_input_with_typed_error(tmp_path, capsys, text, extra):
     ["render", "--mode", "tos", "--in", "{src}"],
     ["render", "--mode", "trails"],
     ["filter", "--in", "{src}", "--out", "{tmp}/f.csv", "--threshold", "1"],
+    ["render", "--mode", "trails", "--tags", "{tmp}/tags.csv", "--out-dir", "{tmp}/fr",
+     "--window-us", "0"],
+    ["render", "--mode", "trails", "--tags", "{tmp}/tags.csv", "--out-dir", "{tmp}/fr",
+     "--window-us", "-5"],
+    ["pr", "--in", "{src}", "--gt", "{tmp}/gt.txt", "--out", "{tmp}/pr.csv",
+     "--corner-fraction", "1.5"],
+    ["pr", "--in", "{src}", "--gt", "{tmp}/gt.txt", "--out", "{tmp}/pr.csv",
+     "--corner-fraction", "0"],
+    ["detect", "--in", "{src}", "--out", "{tmp}/t.csv", "--detector", "eharris",
+     "--threshold", "nan"],
 ], ids=["missing-input", "missing-output-dir", "zero-packet", "zero-runs",
-        "tos-without-in", "tos-without-out", "trails-without-tags", "filter-threshold"])
+        "tos-without-in", "tos-without-out", "trails-without-tags", "filter-threshold",
+        "trails-zero-window", "trails-negative-window", "pr-fraction-above-one",
+        "pr-fraction-zero", "eharris-nan-threshold"])
 def test_cli_reports_bad_arguments_and_paths_without_traceback(tmp_path, capsys, argv):
-    src = _write_events(tmp_path, random_stream(SensorGeometry(16, 16), 200, seed=3))
+    stream = random_stream(SensorGeometry(16, 16), 200, seed=3)
+    src = _write_events(tmp_path, stream)
+    n = len(stream)
+    write_tags(Tags.for_stream(stream, np.zeros(n, bool), np.zeros(n)), tmp_path / "tags.csv")
+    write_ground_truth(np.random.default_rng(1).random(n), tmp_path / "gt.txt")
     try:
         rc = main([a.format(tmp=tmp_path, src=src) for a in argv])
     except SystemExit as e:  # argparse's own usage errors

@@ -29,8 +29,7 @@ def test_csv_line_maps_fields(tmp_path):
     path.write_text("# evcorner v1 csv 640 480\n1000,5,7,1\n")
     s = read_stream(path)
     assert len(s) == 1
-    e = s[0]
-    assert (e.t, e.x, e.y, e.p) == (1000, 5, 7, True)
+    assert (s.t[0], s.x[0], s.y[0], bool(s.p[0])) == (1000, 5, 7, True)
     assert s.geometry == SensorGeometry(640, 480)
 
 
@@ -69,7 +68,7 @@ def test_seconds_unit_conversion(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("# evcorner v1 csv 32 32\n0.001234,3,4,1\n")
     s = read_stream(path, ts_unit="s")
-    assert s[0].t == 1234
+    assert s.t[0] == 1234
 
 
 def test_binary_roundtrip_10k(tmp_path):
@@ -118,7 +117,7 @@ def test_single_event_roundtrip(tmp_path):
         path = tmp_path / "one"
         write_stream(s, path, fmt)
         r = read_stream(path, fmt)
-        assert r[0] == s[0]
+        assert [c.tolist() for c in (r.t, r.x, r.y, r.p)] == [c.tolist() for c in (s.t, s.x, s.y, s.p)]
 
 
 def test_random_roundtrip_100k(tmp_path):
@@ -138,7 +137,7 @@ def test_equal_timestamps_preserved_in_order(tmp_path):
     path = tmp_path / "ties.csv"
     write_stream(s, path)
     r = read_stream(path)
-    assert [e.x for e in r] == [1, 2, 3]
+    assert r.x.tolist() == [1, 2, 3]
 
 
 def test_tag_csv_fields():

@@ -12,7 +12,7 @@ from oracles import brute_refractory, brute_sp, loop_refractory, loop_sp
 def test_refractory_keep_drop_keep(geometry):
     s = make_stream(geometry, [(0, 5, 5), (3000, 5, 5), (11000, 5, 5)])
     out = refractory_filter(s, 5000)
-    assert [e.t for e in out] == [0, 11000]
+    assert out.t.tolist() == [0, 11000]
 
 
 def test_refractory_zero_period_is_identity(geometry):
@@ -25,7 +25,7 @@ def test_refractory_measures_against_last_retained(geometry):
     # 0 keep, 4000 drop, 8000 drop (8000 - 0 > 5000? no: vs retained 0 -> 8000-0=8000 > 5000 keep)
     s = make_stream(geometry, [(0, 1, 1), (4000, 1, 1), (8000, 1, 1)])
     out = refractory_filter(s, 5000)
-    assert [e.t for e in out] == [0, 8000]
+    assert out.t.tolist() == [0, 8000]
 
 
 def test_refractory_matches_brute_force():
@@ -53,7 +53,7 @@ def test_sp_lone_event_dropped(geometry):
 def test_sp_adjacent_pair_second_kept(geometry):
     s = make_stream(geometry, [(1000, 10, 10), (1100, 11, 10)])
     out = sp_filter(s, 10_000, 1)
-    assert [e.t for e in out] == [1100]
+    assert out.t.tolist() == [1100]
 
 
 def test_sp_far_apart_in_time_dropped(geometry):

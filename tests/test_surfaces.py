@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from evcorner import (
-    BinaryWindowSurface,
-    Event,
     EventStream,
     GeometryViolation,
     InvalidParameter,
-    SaeSurface,
     SensorGeometry,
     TosSurface,
     tos_default_threshold,
@@ -200,44 +197,6 @@ def test_tos_rejects_bad_params():
         TosSurface(g, k_tos=0)
     with pytest.raises(InvalidParameter):
         TosSurface(g, k_tos=3, t_tos=300)
-
-
-def test_sae_updates():
-    g = SensorGeometry(8, 8)
-    s = SaeSurface(g)
-    s.update(Event(500, 1, 1, True))
-    assert s.grid[1, 1] == 500
-    s.update(Event(900, 1, 1, False))
-    assert s.grid[1, 1] == 900
-    with pytest.raises(GeometryViolation):
-        s.update(Event(1, 8, 1, True))
-
-
-def test_sae_equals_per_pixel_max_over_stream():
-    rng = np.random.default_rng(2)
-    g = SensorGeometry(10, 10)
-    s = SaeSurface(g)
-    ref = np.zeros((10, 10), dtype=np.uint64)
-    t = 1
-    for _ in range(500):
-        x = int(rng.integers(0, 10))
-        y = int(rng.integers(0, 10))
-        s.update(Event(t, x, y, True))
-        ref[y, x] = max(ref[y, x], t)
-        t += int(rng.integers(0, 3))
-    assert np.array_equal(s.grid, ref)
-
-
-def test_binary_window_read():
-    g = SensorGeometry(8, 8)
-    s = BinaryWindowSurface(g, window_us=10_000)
-    s.update(Event(1000, 2, 3, True))
-    assert s.read(2, 3, 5000) is True
-    assert s.read(2, 3, 11000) is True  # boundary: exactly window
-    assert s.read(2, 3, 11001) is False
-    assert s.read(4, 4, 0) is False  # never fired
-    with pytest.raises(GeometryViolation):
-        s.read(8, 0, 0)
 
 
 def test_per_event_work_independent_of_image_size():
