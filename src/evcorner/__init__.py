@@ -19,7 +19,6 @@ from .baselines import (
 )
 from .bench import (
     DelayTrace,
-    PassThroughDetector,
     ThroughputModel,
     ThroughputResult,
     fit_throughput_model,
@@ -46,8 +45,6 @@ from .evaluate import (
     load_ground_truth,
     pr_curve,
     precision_at_recall,
-    relative_improvement,
-    write_ground_truth,
 )
 from .events import (
     EventStream,
@@ -63,8 +60,6 @@ from .harris import (
     HarrisParams,
     PatchEvaluator,
     harris_response_map,
-    harris_response_patch,
-    sobel_derivatives,
 )
 from .luvharris import (
     HarrisLut,
@@ -72,6 +67,6 @@ from .luvharris import (
     LuvHarrisDetector,
     regenerate_lut,
 )
-from .render import export_plot_data, read_pgm, render_tos, render_trails, save_frames, write_pgm
+from .render import export_plot_data, render_tos, render_trails, save_frames, write_pgm
 from .stats import PipelineStats
 from .surfaces import TosSurface, tos_default_threshold

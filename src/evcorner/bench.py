@@ -15,7 +15,8 @@ Three measurements, mirroring how a live system is judged:
 * :func:`fit_throughput_model` — splits a detector's cost into a per-event
   part and a per-LUT-generation part and predicts total processing time as
   ``q1 * V + q2 * W`` from the detector's ``stats`` (a ``PipelineStats``);
-  detectors without one are rejected.
+  detectors without one are rejected. The fit also records its run's wall
+  time (``elapsed_s``).
 
 The throughput and model functions take a zero-argument factory and build a
 fresh detector for every run; every function here closes the detectors it
@@ -37,12 +38,11 @@ import numpy as np
 
 from .baselines import MAX_CALL_EVENTS
 from .errors import InstrumentationUnavailable, InvalidParameter, StreamTooShort
-from .events import EventStream, SensorGeometry, Tags
-from .stats import PipelineStats
+from .events import EventStream
 
 MIN_MEASURE_SECONDS = 0.2
-# events per process call in fit_throughput_model and run_detector_timed:
-# small enough that a model stream spans many LUT generations
+# events per process call in fit_throughput_model: small enough that a
+# model stream spans many LUT generations
 MODEL_CHUNK_EVENTS = 8192
 
 
@@ -52,10 +52,6 @@ class ThroughputResult:
     rates: list[float]
     median_rate: float
     spread: float  # max - min across runs
-
-    @property
-    def events_per_second(self) -> float:
-        return self.median_rate
 
 
 @dataclass
@@ -78,28 +74,10 @@ class ThroughputModel:
     q2_cost_ns: float
     v_events: int
     w_generations: int
+    elapsed_s: float  # wall time of the fit's process calls
 
     def predicted_seconds(self, v: int, w: int) -> float:
         return (self.q1_cost_ns * v + self.q2_cost_ns * w) * 1e-9
-
-
-class PassThroughDetector:
-    """Zero-work detector: tags everything not-corner. Bench smoke baseline."""
-
-    decision_direction = "greater"
-    name = "passthrough"
-
-    def __init__(self, geometry: SensorGeometry):
-        self.geometry = geometry
-        self.stats = PipelineStats()
-
-    def process(self, chunk: EventStream) -> Tags:
-        t0 = time.perf_counter()
-        n = len(chunk)
-        out = Tags.for_stream(chunk, np.zeros(n, bool), np.zeros(n))
-        self.stats.phase1_s += time.perf_counter() - t0
-        self.stats.events_processed += n
-        return out
 
 
 @contextmanager
@@ -183,19 +161,17 @@ def paced_replay(
     """Replay at recorded timestamps and trace per-packet completion delay."""
     if packet_us <= 0:
         raise InvalidParameter(f"packet_us must be positive, got {packet_us}")
-    t = stream.t.astype(np.int64)
-    start_us = int(t[0]) if len(stream) else 0
+    if len(stream) == 0:
+        raise StreamTooShort("empty stream")
+    rel = stream.t.astype(np.int64) - int(stream.t[0])
+    bounds = np.searchsorted(rel, np.arange(packet_us, int(rel[-1]) + packet_us + 1, packet_us))
     packets = []  # (end_stream_offset_us, event slice)
-    if len(stream):
-        rel = t - start_us
-        end = int(rel[-1])
-        bounds = np.searchsorted(rel, np.arange(packet_us, end + packet_us + 1, packet_us))
-        i0 = 0
-        for k, i1 in enumerate(bounds):
-            packets.append(((k + 1) * packet_us, stream.slice(i0, int(i1))))
-            i0 = int(i1)
-            if i0 >= len(stream):
-                break
+    i0 = 0
+    for k, i1 in enumerate(bounds):
+        packets.append(((k + 1) * packet_us, stream.slice(i0, int(i1))))
+        i0 = int(i1)
+        if i0 >= len(stream):
+            break
     q: queue.Queue = queue.Queue(maxsize=queue_packets)
     released = [0.0] * len(packets)
     abort = threading.Event()
@@ -272,31 +248,21 @@ def paced_replay(
 
 def fit_throughput_model(detector_factory, stream: EventStream) -> ThroughputModel:
     """Measure per-event and per-generation costs from one run of a fresh
-    detector fed ``MODEL_CHUNK_EVENTS`` at a time."""
+    detector fed ``MODEL_CHUNK_EVENTS`` at a time, and the run's wall time
+    (the ``process`` calls only, with the garbage collector paused)."""
     det = detector_factory()
     if not hasattr(det, "stats"):
         raise InstrumentationUnavailable(
             f"{type(det).__name__} exposes no phase counters"
         )
     with _gc_paused(), closing(det):
+        t0 = time.perf_counter()
         for c in stream.chunks(MODEL_CHUNK_EVENTS):
             det.process(c)
+        elapsed = time.perf_counter() - t0
     v, w = det.stats.events_processed, det.stats.lut_generations
     if v == 0:
         raise StreamTooShort("no events processed")
     q1 = det.stats.phase1_s / v * 1e9
     q2 = det.stats.phase2_s / w * 1e9 if w else 0.0
-    return ThroughputModel(q1, q2, v, w)
-
-
-def run_detector_timed(detector_factory, stream: EventStream):
-    """Process a stream once, ``MODEL_CHUNK_EVENTS`` at a time, on a fresh
-    detector; returns (seconds, events, generations)."""
-    det = detector_factory()
-    with _gc_paused(), closing(det):
-        t0 = time.perf_counter()
-        for c in stream.chunks(MODEL_CHUNK_EVENTS):
-            det.process(c)
-        elapsed = time.perf_counter() - t0
-    gens = det.stats.lut_generations if hasattr(det, "stats") else 0
-    return elapsed, len(stream), gens
+    return ThroughputModel(q1, q2, v, w, elapsed)

@@ -81,19 +81,10 @@ def load_ground_truth(path, stream: EventStream, corner_fraction: float = 0.2) -
     return binarize_scores(np.array(vals), corner_fraction)
 
 
-def write_ground_truth(scores, path) -> None:
-    scores = np.asarray(scores, dtype=np.float64)
-    with open(path, "w") as f:
-        f.write(f"{GT_MAGIC} {len(scores)}\n")
-        for s in scores.tolist():
-            f.write(f"{s!r}\n")
-
-
 @dataclass
 class PrCurve:
     points: list  # (parameter, precision, recall), sweep order
     detector: str = ""
-    dataset: str = ""
 
     def recalls(self) -> np.ndarray:
         return np.array([r for _, _, r in self.points])
@@ -108,7 +99,7 @@ def _decisions(entry) -> np.ndarray:
     return np.asarray(entry, dtype=bool)
 
 
-def pr_curve(sweep, gt: GroundTruth, detector: str = "", dataset: str = "") -> PrCurve:
+def pr_curve(sweep, gt: GroundTruth, detector: str = "") -> PrCurve:
     """Precision/recall per sweep point against binarised ground truth.
 
     Points with no detections have undefined precision and are omitted
@@ -127,7 +118,7 @@ def pr_curve(sweep, gt: GroundTruth, detector: str = "", dataset: str = "") -> P
         precision = tp / n_det
         recall = tp / n_corners if n_corners else 0.0
         points.append((param, precision, recall))
-    return PrCurve(points, detector, dataset)
+    return PrCurve(points, detector)
 
 
 def precision_at_recall(curve: PrCurve, target_recall: float = 0.5) -> float:
@@ -151,10 +142,3 @@ def precision_at_recall(curve: PrCurve, target_recall: float = 0.5) -> float:
     p0, p1 = ps[i - 1], ps[i]
     frac = (target_recall - r0) / (r1 - r0)
     return float(p0 + frac * (p1 - p0))
-
-
-def relative_improvement(p_alg: float, p_baseline: float) -> float:
-    """(p_alg - p_baseline) / p_baseline; the usual baseline is eharris."""
-    if p_baseline == 0:
-        raise ZeroDivisionError("baseline precision is zero")
-    return (p_alg - p_baseline) / p_baseline

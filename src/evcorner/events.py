@@ -155,7 +155,7 @@ class Tags:
     @classmethod
     def concat(cls, parts: Sequence["Tags"]) -> "Tags":
         if not parts:
-            raise ValueError("nothing to concatenate")
+            raise InvalidParameter("nothing to concatenate")
         g = parts[0].geometry
         return cls(
             g,
@@ -203,7 +203,7 @@ def read_stream(path, format: str = "csv", ts_unit: str = "us") -> EventStream:
         return _read_csv(path, ts_unit)
     if format == "packed_binary":
         return _read_binary(path)
-    raise ValueError(f"unknown format {format!r}")
+    raise InvalidParameter(f"unknown format {format!r}")
 
 
 # CSV bodies parse in bulk into these rows; event x and y are signed so that
@@ -353,7 +353,7 @@ def write_stream(stream: EventStream, path, format: str = "csv") -> None:
                                 stream.geometry.width, stream.geometry.height, len(stream)))
             rec.tofile(f)
     else:
-        raise ValueError(f"unknown format {format!r}")
+        raise InvalidParameter(f"unknown format {format!r}")
 
 
 def format_score(s: float) -> str:

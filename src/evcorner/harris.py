@@ -1,11 +1,12 @@
 """Harris response kernel: Sobel derivatives, windowed gradient products,
 and the corner response, over whole frames, dirty tiles or single pixels.
 
-The full-frame and the per-patch paths are deliberately different
+The frame path and the per-pixel path are deliberately different
 implementations of the same arithmetic: the frame path runs separable
-filters over row strips, the patch path gathers a mirror-extended local
-region and evaluates only the requested pixel. They agree to ~1e-12
-relative everywhere, including image borders.
+filters over row strips, the per-pixel :class:`PatchEvaluator`, which
+eHarris uses, gathers a mirror-extended local region and evaluates only the
+requested pixel. They agree to ~1e-12 relative everywhere, including image
+borders.
 
 The frame path is translation-exact: a rectangle is evaluated from itself
 plus a ``reach`` halo, mirror padding applies only at the frame's edges,
@@ -18,10 +19,10 @@ exactly.
 
 Conventions (fixed, and what the tests pin down):
 
-* correlation, not convolution — a dark-to-bright step left-to-right gives
-  a positive x-derivative;
 * derivative kernels are the classic binomial-smoothed central difference
-  ([-1,0,1] for aperture 3, [-1,-2,0,2,1] for 5, ...), unnormalised;
+  ([-1,0,1] for aperture 3, [-1,-2,0,2,1] for 5, ...), unnormalised; their
+  sign cannot be observed in the response, which reads Ix and Iy only
+  through the block means of Ix², Iy² and the square of that of IxIy;
 * gradient products are aggregated with a block *mean* (box filter);
 * borders are reflect-101 ("mirror") padded;
 * scores are raw — thresholds are interpreted on unnormalised responses.
@@ -38,7 +39,7 @@ import numpy as np
 import scipy.ndimage as ndi
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GeometryViolation, ImageTooSmall, InvalidParameter
+from .errors import ImageTooSmall, InvalidParameter
 
 # side of the square tiles a partial regeneration tracks
 TILE = 32
@@ -82,8 +83,8 @@ def deriv_kernels(aperture: int) -> tuple[np.ndarray, np.ndarray]:
     return deriv, smooth
 
 
-def _check_image(image, aperture: int, dtype=np.float64) -> np.ndarray:
-    img = np.asarray(image, dtype=dtype)
+def _check_image(image, aperture: int) -> np.ndarray:
+    img = np.asarray(image)
     if img.ndim != 2:
         raise InvalidParameter(f"expected 2-D image, got shape {img.shape}")
     if min(img.shape) < aperture:
@@ -91,19 +92,10 @@ def _check_image(image, aperture: int, dtype=np.float64) -> np.ndarray:
     return img
 
 
-def sobel_derivatives(image, params: HarrisParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel partial derivatives d/dx, d/dy with reflect-101 borders."""
-    img = _check_image(image, params.sobel_aperture)
-    kd, ks = deriv_kernels(params.sobel_aperture)
-    ix = ndi.correlate1d(ndi.correlate1d(img, kd, axis=1, mode="mirror"), ks, axis=0, mode="mirror")
-    iy = ndi.correlate1d(ndi.correlate1d(img, kd, axis=0, mode="mirror"), ks, axis=1, mode="mirror")
-    return ix, iy
-
-
 def harris_response_map(image, params: HarrisParams = HarrisParams()) -> np.ndarray:
     """Harris response R = det(M) - kappa * tr(M)^2 over the whole of
     ``image``, evaluated as the strips of ``dirty_rects``."""
-    img = _check_image(image, params.sobel_aperture, dtype=None)
+    img = _check_image(image, params.sobel_aperture)
     out = np.empty(img.shape)
     for (y0, y1, x0, x1), values in response_rects(img, params, dirty_rects(img.shape)):
         out[y0:y1, x0:x1] = values
@@ -118,7 +110,7 @@ def response_rects(image, params: HarrisParams, rects, snap_below: int | None = 
     rectangles of ``dirty_rects`` do), so the temporaries stay strip-sized.
     With ``snap_below``, ``image`` is a raw TOS and cells below it read as 0.
     """
-    img = _check_image(image, params.sobel_aperture, dtype=None)
+    img = _check_image(image, params.sobel_aperture)
     rect = _RectResponse.of(img.shape[0], params, snap_below)
     for r in rects:
         yield r, rect(img, *r)
@@ -364,13 +356,3 @@ class PatchEvaluator:
 
     def response(self, image: np.ndarray, x: int, y: int) -> float:
         return self.response_from_region(self.region(image, x, y), x, y)
-
-
-def harris_response_patch(image, x: int, y: int, params: HarrisParams = HarrisParams()) -> float:
-    """Harris response at (x, y); identical value to the full-frame map."""
-    img = _check_image(image, params.sobel_aperture)
-    h, w = img.shape
-    if not (0 <= x < w and 0 <= y < h):
-        raise GeometryViolation(f"({x},{y}) outside image {w}x{h}")
-    ev = PatchEvaluator(img.shape, params)
-    return ev.response(img, int(x), int(y))

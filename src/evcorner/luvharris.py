@@ -125,14 +125,14 @@ def regenerate_lut(
     params: HarrisParams,
     latest_event_t: int,
     previous: HarrisLut,
-    dirty: np.ndarray | None = None,
-    t_tos: int = 0,
+    dirty: np.ndarray,
+    t_tos: int,
 ) -> HarrisLut:
     """The LUT after ``previous``, from a consistent TOS snapshot.
 
     ``surface`` is the raw TOS, whose cells below ``t_tos`` read as 0 (a
-    snapped grid with the default 0 works too). The tiles marked in
-    ``dirty`` (see ``harris.dirty_tiles``; None marks all) are recomputed.
+    snapped grid with ``t_tos`` 0 works too). The tiles marked in
+    ``dirty`` (see ``harris.dirty_tiles``) are recomputed.
     A strip they cover whole is a new array; one they cover in part is a
     copy of the previous strip with them written in; every other strip is
     the previous one. So the previous LUT is never written to and

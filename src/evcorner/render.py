@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .bench import DelayTrace
-from .errors import FormatError, InvalidParameter
+from .errors import InvalidParameter
 from .evaluate import PrCurve
 from .events import Tags, format_score
 from .surfaces import TosSurface
@@ -27,41 +27,12 @@ def write_pgm(grid, path) -> None:
     g = np.asarray(grid)
     if g.dtype != np.uint8:
         if g.min() < 0 or g.max() > 255:
-            raise ValueError("grid values must fit 8 bits")
+            raise InvalidParameter("grid values must fit 8 bits")
         g = g.astype(np.uint8)
     h, w = g.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(g.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
-    fields = []
-    i = 0
-    while len(fields) < 4:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if data[i : i + 1] == b"#":
-            while i < len(data) and data[i] != 0x0A:
-                i += 1
-            continue
-        j = i
-        while j < len(data) and not data[j : j + 1].isspace():
-            j += 1
-        fields.append(data[i:j])
-        i = j
-    if fields[0] != b"P5":
-        raise FormatError(f"not a P5 PGM: {fields[0]!r}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise FormatError(f"only maxval 255 supported, got {maxval}")
-    i += 1  # single whitespace after maxval
-    pix = np.frombuffer(data[i : i + w * h], dtype=np.uint8)
-    if len(pix) != w * h:
-        raise FormatError("truncated pixel data")
-    return pix.reshape(h, w).copy()
 
 
 def render_tos(surface, path) -> None:

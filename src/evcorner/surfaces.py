@@ -56,9 +56,6 @@ class TosSurface:
     a hot pixel drifts at most ``FLOOR_INTERVAL`` plus one call's events
     below ``t_tos``, far from the int32 wrap. Flooring only every so often
     keeps a small call's cost independent of the sensor size.
-
-    ``cells_touched`` accumulates the clipped update-window area, which
-    bounds per-event work at (2k+1)^2 independent of image size.
     """
 
     FLOOR_INTERVAL = 1 << 16
@@ -80,8 +77,6 @@ class TosSurface:
         self.raw = self._flat.reshape(rows, cols)[k:-k, k:-k]
         d = np.arange(-k, k + 1)
         self._window = (d[:, None] * cols + d[None, :]).ravel()
-        self.cells_touched = 0
-        self.events_applied = 0
         self._unfloored = 0  # events applied since the buffer was last floored
 
     @property
@@ -106,8 +101,6 @@ class TosSurface:
     def _apply(self, xa: np.ndarray, ya: np.ndarray) -> None:
         k = self.k_tos
         n = len(xa)
-        w = self.geometry.width
-        h = self.geometry.height
         flat = self._flat
         pix = (ya + k) * self._row + (xa + k)
         # a fired pixel briefly holds 256 + (1 + index of its last fire in
@@ -124,10 +117,6 @@ class TosSurface:
         counted = flat[cells] <= order[key & 0xFFFF, None]
         flat[pix] = 255
         np.subtract.at(flat, cells[counted], np.int32(1))
-        wx = np.minimum(xa + k + 1, w) - np.maximum(xa - k, 0)
-        wy = np.minimum(ya + k + 1, h) - np.maximum(ya - k, 0)
-        self.cells_touched += int(wx @ wy)
-        self.events_applied += n
 
     def to_u8(self) -> np.ndarray:
         return self.grid.astype(np.uint8)

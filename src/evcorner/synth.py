@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .errors import InvalidParameter
 from .events import EventStream, SensorGeometry
 
 
@@ -105,7 +106,7 @@ def _wedge_offsets(angle_deg: int, radius: int) -> list[tuple[int, int]]:
     first), which keeps the few newest ring pixels non-adjacent while the
     full sector still forms one contiguous arc."""
     if angle_deg not in (90, 270):
-        raise ValueError("wedge angle must be 90 or 270")
+        raise InvalidParameter("wedge angle must be 90 or 270")
     offs = []
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):

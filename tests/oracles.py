@@ -4,7 +4,9 @@ Everything here is written directly from first principles (full-grid
 rewalks, literal kernel tables, exhaustive enumeration, pairwise scans) so
 it shares no shortcuts with the library paths it checks. The one exception,
 ``FreshLutDetector``, drives the library detector on the ideal oracle's
-read schedule rather than reimplementing it.
+read schedule rather than reimplementing it. The file helpers at the end
+(``read_pgm``, ``write_ground_truth``) are the test side of formats the
+package only writes or only reads.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from evcorner import FormatError, LuvHarrisDetector, PatchEvaluator, SensorGeometry, Tags
+from evcorner.evaluate import GT_MAGIC
 from evcorner.events import CSV_MAGIC, TAGS_MAGIC, _parse_header, format_score
 
 # --- threshold-ordinal surface: full-grid rewalk per event ----------------
@@ -22,11 +25,10 @@ def naive_tos_new(width: int, height: int):
     return [[0] * width for _ in range(height)]
 
 
-def naive_tos_apply(rows, x: int, y: int, k: int, t_tos: int) -> int:
-    """Apply one event; returns the number of cells it decremented."""
+def naive_tos_apply(rows, x: int, y: int, k: int, t_tos: int) -> None:
+    """Apply one event."""
     h = len(rows)
     w = len(rows[0])
-    touched = 0
     for yy in range(h):
         for xx in range(w):
             if abs(xx - x) <= k and abs(yy - y) <= k:
@@ -34,9 +36,7 @@ def naive_tos_apply(rows, x: int, y: int, k: int, t_tos: int) -> int:
                 if v < t_tos:
                     v = 0
                 rows[yy][xx] = v
-                touched += 1
     rows[y][x] = 255
-    return touched
 
 
 class WindowedTos:
@@ -404,3 +404,42 @@ class FreshLutDetector:
             scores.append(self.det.lut.at(part.y, part.x))
         score = np.concatenate(scores)
         return Tags.for_stream(chunk, score > self.det.config.threshold_tr, score)
+
+
+# --- files the package only writes (PGM) or only reads (ground truth) -------
+
+def read_pgm(path) -> np.ndarray:
+    with open(path, "rb") as f:
+        data = f.read()
+    fields = []
+    i = 0
+    while len(fields) < 4:
+        while i < len(data) and data[i : i + 1].isspace():
+            i += 1
+        if data[i : i + 1] == b"#":
+            while i < len(data) and data[i] != 0x0A:
+                i += 1
+            continue
+        j = i
+        while j < len(data) and not data[j : j + 1].isspace():
+            j += 1
+        fields.append(data[i:j])
+        i = j
+    if fields[0] != b"P5":
+        raise FormatError(f"not a P5 PGM: {fields[0]!r}")
+    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if maxval != 255:
+        raise FormatError(f"only maxval 255 supported, got {maxval}")
+    i += 1  # single whitespace after maxval
+    pix = np.frombuffer(data[i : i + w * h], dtype=np.uint8)
+    if len(pix) != w * h:
+        raise FormatError("truncated pixel data")
+    return pix.reshape(h, w).copy()
+
+
+def write_ground_truth(scores, path) -> None:
+    scores = np.asarray(scores, dtype=np.float64)
+    with open(path, "w") as f:
+        f.write(f"{GT_MAGIC} {len(scores)}\n")
+        for s in scores.tolist():
+            f.write(f"{s!r}\n")

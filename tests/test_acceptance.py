@@ -17,20 +17,18 @@ from evcorner import (
     HarrisParams,
     LuvHarrisConfig,
     LuvHarrisDetector,
+    PatchEvaluator,
     SensorGeometry,
     TosSurface,
     binarize_scores,
     fit_throughput_model,
     harris_response_map,
-    harris_response_patch,
     measure_throughput,
     paced_replay,
     pr_curve,
     refractory_filter,
-    sobel_derivatives,
     sp_filter,
 )
-from evcorner.bench import run_detector_timed
 from evcorner.events import Tags
 from evcorner.synth import (
     burst_stream,
@@ -48,7 +46,7 @@ from oracles import (
     IdealHarrisOracle,
     brute_refractory,
     brute_sp,
-    naive_sobel,
+    naive_harris_map,
     naive_tos_apply,
     naive_tos_new,
 )
@@ -85,22 +83,21 @@ def test_criterion_2_harris_kernel_equivalence():
         w = int(rng.integers(16, 65))
         img = rng.integers(0, 256, (h, w)).astype(np.float64)
         m = harris_response_map(img, p)
+        patch = PatchEvaluator(img.shape, p)
         for y in range(h):
             for x in range(w):
-                v = harris_response_patch(img, x, y, p)
+                v = patch.response(img, x, y)
                 worst_patch = max(
                     worst_patch, abs(v - m[y, x]) / max(1.0, abs(m[y, x]))
                 )
         if i < 8:  # the pure-python convolution oracle is slow; sample
-            ix, iy = sobel_derivatives(img, p)
-            nix, niy = naive_sobel(img, p.sobel_aperture)
+            # the naive map runs the literal-kernel Sobel convolution inside
+            want = naive_harris_map(img, p.block_size, p.sobel_aperture, p.kappa)
             worst_sobel = max(
-                worst_sobel,
-                float((np.abs(ix - nix) / np.maximum(1.0, np.abs(nix))).max()),
-                float((np.abs(iy - niy) / np.maximum(1.0, np.abs(niy))).max()),
+                worst_sobel, float((np.abs(m - want) / np.maximum(1.0, np.abs(want))).max())
             )
     ok = worst_patch <= 1e-9 and worst_sobel <= 1e-9
-    record_criterion(2, "score map == patch evaluation; Sobel == naive convolution", ok)
+    record_criterion(2, "score map == patch evaluation; map == naive Sobel convolution map", ok)
     assert worst_patch <= 1e-9
     assert worst_sobel <= 1e-9
 
@@ -304,12 +301,12 @@ def test_criterion_8_throughput_model_fit():
         (fit_throughput_model(factory_for(g1), fit_stream) for _ in range(2)),
         key=lambda m: m.q1_cost_ns,
     )
-    measured, v, w = min(
-        (run_detector_timed(factory_for(g1), holdout) for _ in range(3)),
-        key=lambda r: r[0],
+    measured = min(
+        (fit_throughput_model(factory_for(g1), holdout) for _ in range(3)),
+        key=lambda m: m.elapsed_s,
     )
-    predicted = model.predicted_seconds(v, w)
-    fit_err = abs(predicted - measured) / measured
+    predicted = model.predicted_seconds(measured.v_events, measured.w_generations)
+    fit_err = abs(predicted - measured.elapsed_s) / measured.elapsed_s
     fit_ok = fit_err < 0.20
 
     # q1 must not depend on image size; q2 must scale with area

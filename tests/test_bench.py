@@ -9,7 +9,6 @@ from evcorner import (
     InstrumentationUnavailable,
     LuvHarrisConfig,
     LuvHarrisDetector,
-    PassThroughDetector,
     SensorGeometry,
     StreamTooShort,
     Tags,
@@ -18,7 +17,6 @@ from evcorner import (
     paced_replay,
     write_stream,
 )
-from evcorner.bench import run_detector_timed
 from evcorner.cli import main
 from evcorner.synth import random_stream
 
@@ -41,7 +39,7 @@ class SleepyDetector:
 def test_throughput_passthrough_smoke():
     g = SensorGeometry(64, 64)
     stream = random_stream(g, 100_000, seed=1)
-    res = measure_throughput(lambda: PassThroughDetector(g), stream, runs=3, budget_s=0.4)
+    res = measure_throughput(lambda: SleepyDetector(0.0), stream, runs=3, budget_s=0.4)
     assert res.median_rate > 0 and len(res.rates) == 3
     assert res.spread >= 0
 
@@ -49,13 +47,19 @@ def test_throughput_passthrough_smoke():
 def test_throughput_empty_stream_rejected():
     g = SensorGeometry(8, 8)
     with pytest.raises(StreamTooShort):
-        measure_throughput(lambda: PassThroughDetector(g), EventStream.empty(g))
+        measure_throughput(lambda: SleepyDetector(0.0), EventStream.empty(g))
+
+
+def test_paced_replay_empty_stream_rejected():
+    g = SensorGeometry(8, 8)
+    with pytest.raises(StreamTooShort):
+        paced_replay(SleepyDetector(0.0), EventStream.empty(g))
 
 
 def test_pacing_never_early():
     g = SensorGeometry(32, 32)
     stream = random_stream(g, 5000, duration_us=300_000, seed=3)
-    trace = paced_replay(PassThroughDetector(g), stream, packet_us=1000)
+    trace = paced_replay(SleepyDetector(0.0), stream, packet_us=1000)
     # a packet covering stream time T may not be handed over before wall T
     packet_times = np.arange(1, len(trace.released_wall_us) + 1) * 1000
     assert np.all(trace.released_wall_us >= packet_times - 1)  # clock-read slack < 1us
@@ -64,7 +68,7 @@ def test_pacing_never_early():
 def test_noop_detector_delay_bounded_by_pacing_granularity():
     g = SensorGeometry(32, 32)
     stream = random_stream(g, 5000, duration_us=300_000, seed=5)
-    trace = paced_replay(PassThroughDetector(g), stream, packet_us=1000)
+    trace = paced_replay(SleepyDetector(0.0), stream, packet_us=1000)
     assert len(trace.delay_us) > 0
     assert np.all(trace.delay_us >= 0)
     # sleep + scheduling jitter, not detector cost; generous ceiling
@@ -85,15 +89,6 @@ def test_slow_detector_delay_grows_linearly():
     assert 5_000 < fit_slope < 13_000
 
 
-def test_model_passthrough_has_zero_q2():
-    g = SensorGeometry(64, 64)
-    stream = random_stream(g, 50_000, seed=9)
-    model = fit_throughput_model(lambda: PassThroughDetector(g), stream)
-    assert model.q2_cost_ns == 0.0
-    assert model.w_generations == 0
-    assert model.q1_cost_ns > 0
-
-
 @pytest.mark.wallclock
 def test_model_prediction_close_on_holdout():
     g = SensorGeometry(128, 128)
@@ -103,12 +98,20 @@ def test_model_prediction_close_on_holdout():
     model = fit_throughput_model(factory, fit_stream)
     assert model.w_generations > 1
     # fastest of three runs: timing noise only ever adds
-    measured, v, w = min(
-        (run_detector_timed(factory, holdout) for _ in range(3)),
-        key=lambda r: r[0],
-    )
-    predicted = model.predicted_seconds(v, w)
-    assert abs(predicted - measured) / measured < 0.25
+    measured = min((fit_throughput_model(factory, holdout) for _ in range(3)),
+                   key=lambda m: m.elapsed_s)
+    predicted = model.predicted_seconds(measured.v_events, measured.w_generations)
+    assert abs(predicted - measured.elapsed_s) / measured.elapsed_s < 0.25
+
+
+def test_fit_elapsed_bounds_its_phases():
+    # phases 1 and 2 are disjoint intervals inside the fit's timed loop
+    g = SensorGeometry(64, 64)
+    model = fit_throughput_model(
+        lambda: LuvHarrisDetector(g, LuvHarrisConfig(mode="alternating")),
+        random_stream(g, 50_000, seed=9))
+    assert model.w_generations > 1
+    assert model.predicted_seconds(model.v_events, model.w_generations) <= model.elapsed_s
 
 
 def test_instrumentation_required():
@@ -178,7 +181,7 @@ def test_throughput_excludes_loading(tmp_path):
     t0 = time.perf_counter()
     loaded = read_stream(path, "packed_binary")
     load_s = time.perf_counter() - t0
-    res = measure_throughput(lambda: PassThroughDetector(g), loaded, runs=1, budget_s=0.3)
+    res = measure_throughput(lambda: SleepyDetector(0.0), loaded, runs=1, budget_s=0.3)
     assert load_s >= 0 and res.median_rate > 0
 
 
@@ -191,8 +194,6 @@ def test_dual_thread_measurements_join_their_workers(tmp_path):
     assert threading.active_count() == before
     model = fit_throughput_model(factory, stream)
     assert model.v_events == len(stream) and model.w_generations >= 1
-    assert threading.active_count() == before
-    run_detector_timed(factory, stream)
     assert threading.active_count() == before
     src = tmp_path / "events.csv"
     write_stream(stream, src)

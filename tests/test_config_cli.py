@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from evcorner import (
+    EventStream,
     InvalidParameter,
     SensorGeometry,
     Tags,
     read_stream,
     read_tags,
-    write_ground_truth,
     write_stream,
     write_tags,
 )
 from evcorner.cli import main
 from evcorner.config import build_detector, load_config, luvharris_config_from
-from evcorner.render import read_pgm
 from evcorner.synth import random_stream, texture_stream, wedge_stream
+
+from oracles import read_pgm, write_ground_truth
 
 
 def test_config_file_parsing(tmp_path):
@@ -121,8 +122,6 @@ def test_cli_filter_and_convert(tmp_path):
 
 
 def test_cli_pr(tmp_path):
-    from evcorner import write_ground_truth
-
     g = SensorGeometry(64, 64)
     stream = random_stream(g, 3000, seed=7)
     src = _write_events(tmp_path, stream)
@@ -178,16 +177,18 @@ def test_cli_rejects_bad_input_with_typed_error(tmp_path, capsys, text, extra):
      "--corner-fraction", "0"],
     ["detect", "--in", "{src}", "--out", "{tmp}/t.csv", "--detector", "eharris",
      "--threshold", "nan"],
+    ["bench", "--in", "{tmp}/empty.csv", "--mode", "delay", "--out-prefix", "{tmp}/"],
 ], ids=["missing-input", "missing-output-dir", "zero-packet", "zero-runs",
         "tos-without-in", "tos-without-out", "trails-without-tags", "filter-threshold",
         "trails-zero-window", "trails-negative-window", "pr-fraction-above-one",
-        "pr-fraction-zero", "eharris-nan-threshold"])
+        "pr-fraction-zero", "eharris-nan-threshold", "delay-empty-stream"])
 def test_cli_reports_bad_arguments_and_paths_without_traceback(tmp_path, capsys, argv):
     stream = random_stream(SensorGeometry(16, 16), 200, seed=3)
     src = _write_events(tmp_path, stream)
     n = len(stream)
     write_tags(Tags.for_stream(stream, np.zeros(n, bool), np.zeros(n)), tmp_path / "tags.csv")
     write_ground_truth(np.random.default_rng(1).random(n), tmp_path / "gt.txt")
+    write_stream(EventStream.empty(stream.geometry), tmp_path / "empty.csv")
     try:
         rc = main([a.format(tmp=tmp_path, src=src) for a in argv])
     except SystemExit as e:  # argparse's own usage errors

@@ -16,10 +16,10 @@ from evcorner import (
     load_ground_truth,
     pr_curve,
     precision_at_recall,
-    relative_improvement,
-    write_ground_truth,
 )
 from evcorner.synth import random_stream
+
+from oracles import write_ground_truth
 
 
 def test_binarize_top_fraction():
@@ -132,12 +132,6 @@ def test_precision_at_recall_not_spanned():
         precision_at_recall(curve, 0.5)
     with pytest.raises(RecallNotSpanned):
         precision_at_recall(PrCurve([]), 0.5)
-
-
-def test_relative_improvement():
-    assert relative_improvement(0.6, 0.4) == pytest.approx(0.5)
-    with pytest.raises(ZeroDivisionError):
-        relative_improvement(0.5, 0.0)
 
 
 def test_recall_monotone_along_sweeps(geometry):

@@ -8,17 +8,19 @@ from evcorner import (
     EventStream,
     FormatError,
     GeometryViolation,
+    InvalidParameter,
     SensorGeometry,
     Tags,
     TimestampRegression,
     read_stream,
     read_tags,
+    write_pgm,
     write_stream,
     write_tags,
 )
 from evcorner import events
 from evcorner.events import format_score
-from evcorner.synth import random_stream
+from evcorner.synth import random_stream, wedge_stream
 
 from conftest import make_stream
 from oracles import fstring_stream_csv, fstring_tags_csv, spec_read_csv, spec_read_tags
@@ -380,3 +382,15 @@ def test_write_memory_is_bounded_by_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak  # 1.7 MiB measured; 13.5 MiB with 65536-row blocks
+
+
+@pytest.mark.parametrize("call", [
+    lambda tmp: read_stream(tmp / "e.csv", "hdf5"),
+    lambda tmp: write_stream(EventStream.empty(SensorGeometry(4, 4)), tmp / "e.h5", "hdf5"),
+    lambda tmp: write_pgm(np.full((2, 2), 256), tmp / "t.pgm"),
+    lambda tmp: Tags.concat([]),
+    lambda tmp: wedge_stream(SensorGeometry(32, 32), 16, 16, 45),
+], ids=["read-format", "write-format", "pgm-over-8-bits", "concat-nothing", "wedge-angle"])
+def test_bad_library_arguments_raise_invalid_parameter(tmp_path, call):
+    with pytest.raises(InvalidParameter):
+        call(tmp_path)

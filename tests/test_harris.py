@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from evcorner import (
-    GeometryViolation,
     HarrisParams,
     ImageTooSmall,
     InvalidParameter,
+    PatchEvaluator,
     harris_response_map,
-    harris_response_patch,
-    sobel_derivatives,
 )
 from evcorner.harris import STRIP_PIXELS, TILE, dirty_rects, strip_rows, tile_grid
 
-from oracles import naive_harris_map, naive_sobel, scan_dirty_rects
+from oracles import naive_harris_map, scan_dirty_rects
 
 
 def corner_image(size=32, value=255):
@@ -31,38 +29,17 @@ def rel_err(a, b):
 def test_constant_image_zero_derivatives_and_response():
     img = np.full((16, 16), 137.0)
     p = HarrisParams()
-    ix, iy = sobel_derivatives(img, p)
-    assert np.allclose(ix, 0) and np.allclose(iy, 0)
     assert np.allclose(harris_response_map(img, p), 0)
 
 
-def test_step_edge_derivative_signs():
-    img = np.zeros((16, 16))
-    img[:, 8:] = 255.0
-    p = HarrisParams()
-    ix, iy = sobel_derivatives(img, p)
-    assert np.allclose(iy, 0)
-    assert (ix[:, 7] > 0).all() and (ix[:, 8] > 0).all()
-    assert np.allclose(ix[:, :5], 0) and np.allclose(ix[:, 11:], 0)
-
-
 @pytest.mark.parametrize("aperture", [3, 5, 7])
-def test_sobel_matches_naive_convolution(aperture):
-    rng = np.random.default_rng(aperture)
-    img = rng.integers(0, 256, (16, 16)).astype(np.float64)
-    p = HarrisParams(sobel_aperture=aperture)
-    ix, iy = sobel_derivatives(img, p)
-    nix, niy = naive_sobel(img, aperture)
-    assert rel_err(ix, nix).max() <= 1e-9
-    assert rel_err(iy, niy).max() <= 1e-9
-
-
-def test_map_matches_naive_map():
+def test_map_matches_naive_map(aperture):
+    # the naive map runs the literal-kernel Sobel convolution inside
     rng = np.random.default_rng(7)
     img = rng.integers(0, 256, (14, 17)).astype(np.float64)
-    p = HarrisParams(block_size=5, sobel_aperture=3)
+    p = HarrisParams(block_size=5, sobel_aperture=aperture)
     got = harris_response_map(img, p)
-    want = naive_harris_map(img, 5, 3, p.kappa)
+    want = naive_harris_map(img, 5, aperture, p.kappa)
     assert rel_err(got, want).max() <= 1e-9
 
 
@@ -83,16 +60,17 @@ def test_patch_equals_map_everywhere():
     p = HarrisParams()
     img = rng.integers(0, 256, (20, 24)).astype(np.float64)
     m = harris_response_map(img, p)
+    patch = PatchEvaluator(img.shape, p)
     for y in range(20):
         for x in range(24):
-            v = harris_response_patch(img, x, y, p)
+            v = patch.response(img, x, y)
             assert rel_err(np.array(v), m[y, x]).max() <= 1e-9
 
 
 def test_patch_step_edge_negative():
     img = np.zeros((24, 24))
     img[:, 12:] = 255.0
-    assert harris_response_patch(img, 12, 12) < 0
+    assert PatchEvaluator(img.shape).response(img, 12, 12) < 0
 
 
 def test_rotation_covariance():
@@ -119,8 +97,6 @@ def test_errors():
     p = HarrisParams()
     with pytest.raises(ImageTooSmall):
         harris_response_map(np.zeros((4, 4)), p)
-    with pytest.raises(GeometryViolation):
-        harris_response_patch(np.zeros((20, 20)), 20, 0, p)
     with pytest.raises(InvalidParameter):
         HarrisParams(sobel_aperture=4)
     with pytest.raises(InvalidParameter):

@@ -10,7 +10,6 @@ from evcorner import (
     Tags,
     TosSurface,
     export_plot_data,
-    read_pgm,
     render_tos,
     render_trails,
     save_frames,
@@ -20,7 +19,7 @@ from evcorner.render import BRIGHT_VALUE, DIM_VALUE
 from evcorner.synth import moving_corner_stream, random_stream
 
 from conftest import make_stream
-from oracles import FreshLutDetector
+from oracles import FreshLutDetector, read_pgm
 
 
 def test_blank_surface_pgm(tmp_path):
