@@ -33,13 +33,23 @@ def test_constant_image_zero_derivatives_and_response():
 
 
 @pytest.mark.parametrize("aperture", [3, 5, 7])
-def test_map_matches_naive_map(aperture):
-    # the naive map runs the literal-kernel Sobel convolution inside
+def test_sobel_matches_naive_convolution(aperture):
+    # checked through the response: the naive map runs the literal-kernel
+    # Sobel convolution inside
+    rng = np.random.default_rng(aperture)
+    img = rng.integers(0, 256, (16, 16)).astype(np.float64)
+    p = HarrisParams(sobel_aperture=aperture)
+    got = harris_response_map(img, p)
+    want = naive_harris_map(img, p.block_size, aperture, p.kappa)
+    assert rel_err(got, want).max() <= 1e-9
+
+
+def test_map_matches_naive_map():
     rng = np.random.default_rng(7)
     img = rng.integers(0, 256, (14, 17)).astype(np.float64)
-    p = HarrisParams(block_size=5, sobel_aperture=aperture)
+    p = HarrisParams(block_size=5, sobel_aperture=3)
     got = harris_response_map(img, p)
-    want = naive_harris_map(img, 5, aperture, p.kappa)
+    want = naive_harris_map(img, 5, 3, p.kappa)
     assert rel_err(got, want).max() <= 1e-9
 
 
