@@ -17,6 +17,22 @@ frame is simply every strip, and recomputing only the rectangles that
 cover some tiles (:func:`dirty_rects`) reproduces the full-frame map
 exactly.
 
+A rectangle is evaluated in one of two forms of the same arithmetic. The
+strip form runs separable filters over the rectangle's crop; it costs
+about 60 numpy/scipy calls however large the rectangle, so it suits
+strips. The small form, for a rectangle of at most ``SMALL_RECT_TILES``
+tiles a side on a raw TOS, is a few small dense matmuls with the
+reflect-101 folding built into the operators; its cost grows with the
+rectangle's area times its side, so it wins only on small rectangles
+(2-3.5x on 32x32 to 32x64, level with the strip form at 64x128). The two
+are bit-identical because every sum before the division by the block
+area is an integer below 2**53, where float64 addition is exact in any
+order: on a TOS (values in [0, 255]) |Ix| and |Iy| are at most
+255 * sum|deriv| * sum(smooth) (24480 at aperture 5), and a block sum is
+below block_size**2 times that squared (3e10 at the defaults). Where that
+bound fails (block 7 with aperture 11, say), or the image is not a TOS,
+only the strip form runs.
+
 Conventions (fixed, and what the tests pin down):
 
 * derivative kernels are the classic binomial-smoothed central difference
@@ -43,11 +59,15 @@ from .errors import ImageTooSmall, InvalidParameter
 
 # side of the square tiles a partial regeneration tracks
 TILE = 32
-# pixels per evaluated strip (64 rows at 1280 wide): bounds a full frame's
+# pixels per evaluated strip (32 rows at 1280 wide): bounds a full frame's
 # temporaries at four strip-sized float64 arrays (plus halo rows), and
 # keeps narrow frames in few strips so per-call costs stay small; a LUT
-# also stores, shares and copies its scores by these strips
-STRIP_PIXELS = 64 * 1280
+# also stores, shares and copies its scores by these strips, so a
+# generation that touches one tile row at 1280 wide copies 327 kB
+STRIP_PIXELS = 32 * 1280
+# rectangles of at most this many tiles a side take the small form (see
+# above); past 2x2 tiles its matmuls cost as much as the strip form's calls
+SMALL_RECT_TILES = 2
 
 
 @dataclass(frozen=True)
@@ -141,7 +161,7 @@ def dirty_tiles(xs, ys, shape: tuple[int, int], radius: int) -> np.ndarray:
 
 def strip_rows(shape: tuple[int, int]) -> int:
     """Rows of each strip of a frame: the most whole tile rows within
-    ``STRIP_PIXELS``, at least one (64 rows at 1280 wide, 128 at 640);
+    ``STRIP_PIXELS``, at least one (32 rows at 1280 wide, 64 at 640);
     the last strip may be shorter."""
     return max(STRIP_PIXELS // (shape[1] * TILE), 1) * TILE
 
@@ -177,6 +197,11 @@ class _RectResponse:
     """Harris response on rectangles of images ``h`` rows high; the kernels
     and row mirror maps are built once per frame.
 
+    A rectangle of at most ``SMALL_RECT_TILES`` tiles a side goes to
+    ``_small`` when ``snap_below`` is set (the image is a raw TOS) and the
+    block sums of a TOS stay below 2**53 at these parameters (see the
+    module docstring); every other rectangle takes the strip form below.
+
     A rectangle is read with a ``reach`` halo. Columns: the halo is clipped
     at the frame and the row-wise filters mirror-pad the crop, which matters
     only at real frame edges. Rows: the halo is gathered whole (mirrored
@@ -193,7 +218,8 @@ class _RectResponse:
     @staticmethod
     @lru_cache(maxsize=8)
     def of(h: int, params: HarrisParams, snap_below: int | None) -> "_RectResponse":
-        """Shared instance per frame height and parameters; never mutated."""
+        """Shared instance per frame height and parameters; only its cache
+        of small-form operators grows."""
         return _RectResponse(h, params, snap_below)
 
     def __init__(self, h: int, params: HarrisParams, snap_below: int | None):
@@ -202,28 +228,38 @@ class _RectResponse:
         self.bw = params.block_size // 2
         self.kd, self.ks = deriv_kernels(params.sobel_aperture)
         self.box = np.ones(params.block_size)
+        self.area = float(params.block_size**2)
         # source row of each halo'd image row, and of each gradient row
         # (coordinates from -reach, resp. -bw), under reflect-101
         self.image_rows = _mirror_indices(h, params.reach)
         self.grad_rows = _mirror_indices(h, self.bw) - np.arange(-self.bw, h + self.bw)
+        # the small form's float64 sums are exact while a TOS's (values in
+        # [0, 255]) largest block sum stays below 2**53
+        grad = 255 * int(np.abs(self.kd).sum()) * int(self.ks.sum())
+        exact = snap_below is not None and params.block_size**2 * grad**2 < 2**53
+        self.small_side = SMALL_RECT_TILES * TILE if exact else 0
+        self._axes = {}  # small-form operators per axis key, see _axis
         self._local = threading.local()
 
-    def _workspace(self, shape: tuple[int, int]) -> list[np.ndarray]:
-        size = shape[0] * shape[1]
+    def _workspace(self, size: int) -> list[np.ndarray]:
+        """Four flat float64 buffers of at least ``size`` cells."""
         flat = getattr(self._local, "flat", None)
         if flat is None or flat[0].size < size:
             flat = self._local.flat = [np.empty(size) for _ in range(4)]
-        return [f[:size].reshape(shape) for f in flat]
+        return flat
 
     def __call__(self, img: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
         """The response on ``img[y0:y1, x0:x1]``, as a view into the calling
         thread's workspace: valid until that thread's next call."""
+        if y1 - y0 <= self.small_side and x1 - x0 <= self.small_side:
+            return self._small(img, y0, y1, x0, x1)
         p, bw = self.params, self.bw
         reach = p.reach
         n, m = y1 - y0, 2 * bw + y1 - y0  # output rows; gradient rows
         q0, q1 = max(x0 - reach, 0), min(x1 + reach, img.shape[1])
         crop = img[self.image_rows[y0 : y1 + 2 * reach], q0:q1]
-        a, b, c, d = self._workspace(crop.shape)
+        size = crop.shape[0] * crop.shape[1]
+        a, b, c, d = (f[:size].reshape(crop.shape) for f in self._workspace(size))
         if self.snap_below is None:
             np.copyto(a, crop)
         else:
@@ -246,18 +282,88 @@ class _RectResponse:
         gxy = block_sum(np.multiply(ix, iy, out=d[:m]), c)
         gyy = block_sum(np.multiply(iy, iy, out=c[:m]), a)
         inner = np.s_[:, x0 - q0 : x1 - q0]
-        gxx, gxy, gyy, tr = gxx[inner], gxy[inner], gyy[inner], a[:n][inner]
-        area = float(p.block_size**2)
+        gxx, gxy, gyy = gxx[inner], gxy[inner], gyy[inner]
         for g in (gxx, gxy, gyy):
-            g /= area
-        np.add(gxx, gyy, out=tr)
-        gxx *= gyy
-        gxy *= gxy
-        gxx -= gxy
-        np.multiply(tr, p.kappa, out=gxy)
-        gxy *= tr
-        gxx -= gxy
-        return gxx
+            g /= self.area
+        return _response(gxx, gxy, gyy, a[:n][inner], p.kappa)
+
+    def _small(self, img: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
+        """``__call__`` on a small rectangle of a raw TOS, as matmuls with
+        the operators of ``_axis``: Ix = S_r A D_c^T, Iy = D_r A S_c^T on
+        the snapped crop A, then each product P gives B_r P B_c^T. Every
+        sum is an integer below 2**53, so exact in any order."""
+        ty, by, (sd_r, _, box_r, _) = self._axis(y0, y1, img.shape[0])
+        tx, bx, (_, ds_c, _, box_c) = self._axis(x0, x1, img.shape[1])
+        crop = img[y0 - ty : y1 + by, x0 - tx : x1 + bx]
+        (ri, ci), rg, cg = crop.shape, box_r.shape[1], box_c.shape[0]
+        n, m = y1 - y0, x1 - x0
+        f0, f1, f2, f3 = self._workspace(max(ri * ci, 2 * rg * ci, 3 * rg * cg))
+        a = f0[: ri * ci].reshape(ri, ci)
+        np.multiply(crop, crop >= self.snap_below, out=a)
+        t = np.matmul(sd_r, a, out=f1[: 2 * rg * ci].reshape(2 * rg, ci))
+        g = np.matmul(t.reshape(2, rg, ci), ds_c, out=f2[: 2 * rg * cg].reshape(2, rg, cg))
+        prod = f1[: 3 * rg * cg].reshape(3, rg, cg)  # Ix², IxIy, Iy²
+        np.multiply(g[0], g, out=prod[:2])
+        np.multiply(g[1], g[1], out=prod[2])
+        rows = np.matmul(box_r, prod, out=f0[: 3 * n * cg].reshape(3, n, cg))
+        sums = np.matmul(rows, box_c, out=f2[: 3 * n * m].reshape(3, n, m))
+        sums /= self.area
+        return _response(*sums, f3[: n * m].reshape(n, m), self.params.kappa)
+
+    def _axis(self, start: int, stop: int, length: int):
+        """The small form's operators along one axis, for the rectangle
+        ``[start, stop)`` of an axis ``length`` long, and how far its crop
+        reaches before and after the rectangle.
+
+        The crop is the rectangle plus ``reach`` cells each side, clipped
+        at the axis ends; the gradient cells are those the block sums
+        read, the rectangle plus ``block_size // 2`` each side, clipped
+        likewise. Reflect-101 folding at the axis ends is built into the
+        rows of the Sobel pair (crop cells to gradient cells) and of the
+        block-sum band (gradient cells to rectangle cells). The operators
+        see an axis end only within ``reach``, so they are built once per
+        (rectangle length, distance to each end capped at ``reach``) and
+        returned as (S stacked on D, (D^T, S^T), B, B^T).
+        """
+        reach = self.params.reach
+        key = (stop - start, min(start, reach), min(length - stop, reach))
+        ops = self._axes.get(key)
+        if ops is None:
+            ops = self._axes[key] = self._axis_operators(*key)
+        return key[1], key[2], ops
+
+    def _axis_operators(self, n: int, before: int, after: int) -> tuple:
+        bw, sr = self.bw, len(self.kd) // 2
+        size = before + n + after  # an axis with the same ends within reach
+        g0, g1 = max(before - bw, 0), min(before + n + bw, size)
+
+        def band(cells, pad, weights):
+            # row j adds weights[d] at the reflected cell cells[j] - pad + d
+            src = _mirror_indices(size, pad)[cells[:, None] + np.arange(len(weights))]
+            op = np.zeros((len(cells), size))
+            np.add.at(op, (np.arange(len(cells))[:, None], src), weights)
+            return op
+
+        deriv = band(np.arange(g0, g1), sr, self.kd)
+        smooth = band(np.arange(g0, g1), sr, self.ks)
+        box = band(np.arange(before, before + n), bw, self.box)[:, g0:g1]
+        return (np.vstack([smooth, deriv]), np.stack([deriv.T, smooth.T]),
+                box, np.ascontiguousarray(box.T))
+
+
+def _response(gxx: np.ndarray, gxy: np.ndarray, gyy: np.ndarray, tr: np.ndarray,
+              kappa: float) -> np.ndarray:
+    """det(M) - kappa * tr(M)^2 from the block means of Ix², IxIy and Iy²,
+    in place in ``gxx`` (``tr`` is scratch), in one fixed order of float
+    operations, so equal block means give bit-equal scores."""
+    np.add(gxx, gyy, out=tr)
+    gxx *= gyy
+    gxy *= gxy
+    gxx -= gxy
+    np.multiply(tr, kappa, out=gxy)
+    gxy *= tr
+    gxx -= gxy
+    return gxx
 
 
 def _correlate_rows(x: np.ndarray, k: np.ndarray, out: np.ndarray,

@@ -10,10 +10,11 @@ reach of its pixel, and an event changes the TOS only within ``k_tos`` of
 its own, so phase 2 recomputes just the tiles (``harris.TILE`` square)
 within ``k_tos + reach`` of the events since the last generation; the
 result equals the full-frame map bit for bit. A LUT keeps its scores as
-the frame's row strips (``harris.strip_rows``), and a generation builds
-new arrays only for the strips its tiles fall in, sharing the rest with
-the previous LUT, so its cost follows the dirty area and no published LUT
-is ever written to.
+the frame's row strips (``harris.strip_rows``: 32 rows at 1280 wide). A
+generation copies each strip its tiles fall in and writes them into the
+copy (a strip they cover whole is built fresh), and shares every other
+strip with the previous LUT, so its cost follows the dirty area and no
+published LUT is ever written to.
 
 ``LuvHarrisDetector`` runs one path in either ``LuvHarrisConfig.mode``.
 Each ``process`` call updates the TOS with the chunk, marks the chunk's

@@ -87,4 +87,4 @@ def export_plot_data(obj, path) -> None:
             for param, prec, rec in obj.points:
                 f.write(f"{param!r},{prec!r},{rec!r}\n")
     else:
-        raise TypeError(f"cannot export {type(obj).__name__}")
+        raise InvalidParameter(f"cannot export {type(obj).__name__}")

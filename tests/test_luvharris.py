@@ -107,7 +107,7 @@ def test_one_tile_generation_copies_one_strip_and_shares_the_rest():
     tos.update_many(stream.x, stream.y)
     first = regenerate_lut(tos.raw, cfg.harris, 1, HarrisLut.blank(tos.raw.shape),
                            np.ones(tile_grid(tos.raw.shape), bool), tos.t_tos)
-    # an event in the middle of tile (9, 18), in the strip of rows 256-319
+    # an event in the middle of tile (9, 18)
     tos.update_many([592], [304])
     dirty = dirty_tiles([592], [304], tos.raw.shape, cfg.dirty_radius())
     assert dirty.sum() == 1
@@ -117,12 +117,13 @@ def test_one_tile_generation_copies_one_strip_and_shares_the_rest():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    strip_bytes = 64 * 1280 * 8
-    # the full frame is 7.4 MB; one copied strip is 655 kB
+    rows = strip_rows(tos.raw.shape)
+    strip_bytes = rows * 1280 * 8
+    # the full frame is 7.4 MB; the one copied strip is a small share of it
     assert peak < 2 * strip_bytes
     assert nxt.pixels_regenerated == 32 * 32
     shared = [a is b for a, b in zip(nxt.strips, first.strips)]
-    assert shared == [k != 4 for k in range(12)]
+    assert shared == [k != 304 // rows for k in range(-(-720 // rows))]
     assert not any(s.flags.writeable for s in nxt.strips)
     assert np.array_equal(lut_scores(nxt), harris_response_map(tos.grid, cfg.harris))
 
@@ -369,12 +370,16 @@ def _border_stream(g, n, seed):
     return EventStream.from_arrays(g, np.arange(1, n + 1), x, y, np.ones(n))
 
 
-@pytest.mark.parametrize("block,aperture", [(3, 3), (7, 5), (9, 7)])
-@pytest.mark.parametrize("k_tos", [1, 3, 6])
-@pytest.mark.parametrize("width,height", [(1300, 100), (150, 140), (20, 13)])
+@pytest.mark.parametrize("width,height,k_tos,block,aperture", [
+    (w, h, k, b, a) for w, h in [(1300, 100), (150, 140), (20, 13)] for k in [1, 3, 6]
+    for b, a in [(3, 3), (7, 5), (9, 7)]
+] + [(1280, 720, 3, 7, 5), (1280, 720, 3, 1, 3), (1280, 720, 3, 7, 11)])
 def test_dirty_tile_luts_equal_full_map_of_naive_tos(width, height, k_tos, block, aperture):
     # 1300x100 is four one-tile-row strips, 150x140 one strip of many
-    # tiles, both ending mid-tile; 20x13 is under one tile
+    # tiles, both ending mid-tile; 20x13 is under one tile; 1280x720 ends
+    # mid-tile at the bottom. Rectangles up to SMALL_RECT_TILES a side take
+    # the small (matmul) form, except at block 7 with aperture 11, whose
+    # block sums can pass 2**53 and so always take the strip form
     g = SensorGeometry(width, height)
     cfg = LuvHarrisConfig(k_tos=k_tos, threshold_tr=1e9,
                           harris=HarrisParams(block_size=block, sobel_aperture=aperture))

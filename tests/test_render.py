@@ -4,6 +4,7 @@ import scipy.ndimage as ndi
 
 from evcorner import (
     DelayTrace,
+    InvalidParameter,
     LuvHarrisConfig,
     PrCurve,
     SensorGeometry,
@@ -139,5 +140,5 @@ def test_export_deterministic(tmp_path):
 
 
 def test_export_rejects_unknown(tmp_path):
-    with pytest.raises(TypeError):
+    with pytest.raises(InvalidParameter):
         export_plot_data({"no": 1}, tmp_path / "x.csv")
