@@ -33,6 +33,10 @@ below block_size**2 times that squared (3e10 at the defaults). Where that
 bound fails (block 7 with aperture 11, say), or the image is not a TOS,
 only the strip form runs.
 
+Both forms work in a per-thread workspace, so the two threads of a split
+``luvharris.regenerate_lut`` generation evaluate rectangles of one frame at
+once. ``harris_response_map`` stays on one thread.
+
 Conventions (fixed, and what the tests pin down):
 
 * derivative kernels are the classic binomial-smoothed central difference
@@ -211,8 +215,9 @@ class _RectResponse:
     top and bottom before their block sum, as a frame-wide filter would.
     Four crop-sized float64 arrays are reused in place, from a per-thread
     workspace kept across calls (fresh ones made the allocator return and
-    re-fault the memory every generation); the box sums add ones-weighted
-    taps (exact on integer images) and divide once.
+    re-fault the memory every generation), so the two threads of a split
+    generation share the instance but not the buffers; the box sums add
+    ones-weighted taps (exact on integer images) and divide once.
     """
 
     @staticmethod

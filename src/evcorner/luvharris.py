@@ -14,7 +14,10 @@ the frame's row strips (``harris.strip_rows``: 32 rows at 1280 wide). A
 generation copies each strip its tiles fall in and writes them into the
 copy (a strip they cover whole is built fresh), and shares every other
 strip with the previous LUT, so its cost follows the dirty area and no
-published LUT is ever written to.
+published LUT is ever written to. A generation of at least
+``2 * harris.STRIP_PIXELS`` pixels (640x480, not 240x180) runs on two
+threads where the process may use two CPUs: a helper evaluates every other
+rectangle, and the LUT is frozen and published after both halves finish.
 
 ``LuvHarrisDetector`` runs one path in either ``LuvHarrisConfig.mode``.
 Each ``process`` call updates the TOS with the chunk, marks the chunk's
@@ -36,6 +39,7 @@ corrupts ordering (every event yields exactly one tag, in input order).
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,11 +48,13 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .events import EventStream, SensorGeometry, Tags
-from .harris import HarrisParams, dirty_rects, dirty_tiles, response_rects, strip_rows, tile_grid
+from .harris import (STRIP_PIXELS, HarrisParams, dirty_rects, dirty_tiles, response_rects,
+                     strip_rows, tile_grid)
 from .stats import PipelineStats
 from .surfaces import TosSurface, tos_default_threshold
 
 WORKER_NAME = "evcorner-lut-worker"  # the dual_thread regeneration thread
+HELPER_NAME = "evcorner-lut-helper"  # evaluates half of a large generation
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,9 @@ def regenerate_lut(
     copy of the previous strip with them written in; every other strip is
     the previous one. So the previous LUT is never written to and
     publication stays an atomic swap. The first LUT follows
-    ``HarrisLut.blank``, the exact map of the all-zero TOS.
+    ``HarrisLut.blank``, the exact map of the all-zero TOS. A large
+    generation is split with a helper thread (see the module docstring),
+    joined before this returns or raises; its failure is raised here.
     """
     shape = np.shape(surface)
     rows = strip_rows(shape)
@@ -151,13 +159,36 @@ def regenerate_lut(
         height = min(rows, shape[0] - k * rows)
         whole = written == height * shape[1]
         strips[k] = np.empty((height, shape[1])) if whole else strips[k].copy()
-    for (y0, y1, x0, x1), values in response_rects(surface, params, rects, t_tos):
-        k = y0 // rows
-        strips[k][y0 - k * rows : y1 - k * rows, x0:x1] = values
+
+    def fill(part):
+        for (y0, y1, x0, x1), values in response_rects(surface, params, part, t_tos):
+            k = y0 // rows
+            strips[k][y0 - k * rows : y1 - k * rows, x0:x1] = values
+
+    pixels = sum(area.values())
+    if (pixels >= 2 * STRIP_PIXELS and hasattr(os, "sched_getaffinity")  # not on every OS
+            and len(os.sched_getaffinity(0)) >= 2):
+        errors = []  # the rectangles are disjoint, so the halves write disjoint cells
+
+        def helper_half():
+            try:
+                fill(rects[1::2])
+            except BaseException as e:
+                errors.append(e)
+
+        helper = threading.Thread(target=helper_half, name=HELPER_NAME, daemon=True)
+        helper.start()
+        try:
+            fill(rects[::2])
+        finally:
+            helper.join()
+        if errors:
+            raise errors[0]
+    else:
+        fill(rects)
     for k in area:
         strips[k].flags.writeable = False
-    return HarrisLut(tuple(strips), int(latest_event_t), previous.generation_index + 1,
-                     sum(area.values()))
+    return HarrisLut(tuple(strips), int(latest_event_t), previous.generation_index + 1, pixels)
 
 
 class LuvHarrisDetector:
@@ -179,7 +210,8 @@ class LuvHarrisDetector:
     sleeps until tiles are pending, copies the TOS with the mask, and
     regenerates outside the lock. ``close`` lets it regenerate what is
     pending first. A worker failure is re-raised once, by the next
-    ``process`` or ``close``.
+    ``process`` or ``close``; the ``process`` after that starts a new
+    worker. In either mode a failed generation leaves its tiles pending.
     """
 
     decision_direction = "greater"
@@ -228,7 +260,7 @@ class LuvHarrisDetector:
         if len(chunk) == 0:
             return Tags.for_stream(chunk, np.zeros(0, bool), np.zeros(0))
         alternating = self.config.mode == "alternating"
-        if not alternating and self._worker is None:
+        if not alternating and not (self._worker and self._worker.is_alive()):
             self._worker = threading.Thread(target=self._regen_loop, name=WORKER_NAME,
                                             daemon=True)
             self._worker.start()
@@ -262,9 +294,14 @@ class LuvHarrisDetector:
             dirty, self._dirty = self._dirty, np.zeros_like(self._dirty)
             latest = self._latest_t
         t0 = time.perf_counter()
-        # through the module global, so tracing it sees the worker too
-        self.lut = regenerate_lut(raw, self.config.harris, latest, self.lut,
-                                  dirty, self.tos.t_tos)
+        try:
+            # through the module global, so tracing it sees the worker too
+            self.lut = regenerate_lut(raw, self.config.harris, latest, self.lut,
+                                      dirty, self.tos.t_tos)
+        except BaseException:
+            with self._wake:  # a failed generation leaves its tiles pending
+                self._dirty |= dirty
+            raise
         self.stats.record_generation(self.lut.pixels_regenerated, time.perf_counter() - t0)
 
     def _regen_loop(self) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evcorner import EventStream, LuvHarrisDetector, SensorGeometry, process_chunked
-from evcorner.luvharris import WORKER_NAME
+from evcorner.luvharris import HELPER_NAME, WORKER_NAME
 
 # acceptance criteria report lines, printed at the end of the run
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []
@@ -25,16 +25,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(autouse=True)
 def no_lut_worker_left_running():
-    """Fail any test that leaves a dual_thread LUT worker alive: whoever
-    runs a detector must close it."""
+    """Fail any test that leaves a dual_thread LUT worker or a split
+    generation's helper alive: whoever runs a detector must close it, and
+    ``regenerate_lut`` must join its helper before it returns."""
     def workers():
-        return {t for t in threading.enumerate() if t.name == WORKER_NAME}
+        return {t for t in threading.enumerate() if t.name in (WORKER_NAME, HELPER_NAME)}
 
     before = workers()
     yield
     leaked = workers() - before
     if leaked:
-        pytest.fail(f"{len(leaked)} {WORKER_NAME} thread(s) still running; close the detector")
+        names = sorted({t.name for t in leaked})
+        pytest.fail(f"{len(leaked)} thread(s) still running ({', '.join(names)}); "
+                    "close the detector")
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
+import os
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -19,7 +21,9 @@ from evcorner import (
     harris_response_map,
     regenerate_lut,
 )
-from evcorner.harris import TILE, dirty_tiles, strip_rows, tile_grid
+from evcorner import luvharris
+from evcorner.harris import STRIP_PIXELS, TILE, _RectResponse, dirty_tiles, strip_rows, tile_grid
+from evcorner.luvharris import HELPER_NAME, WORKER_NAME
 from evcorner.synth import moving_corner_stream, random_stream, wedge_stream
 
 from conftest import luvharris_run
@@ -462,3 +466,133 @@ def test_regenerated_pixels_follow_the_dirty_area():
     g = SensorGeometry(240, 180)
     _, stats = luvharris_run(random_stream(g, 40_000, seed=6), LuvHarrisConfig(threshold_tr=1e9))
     assert stats.pixels_regenerated == stats.lut_generations * 240 * 180
+
+
+def _settle(det, part):
+    """Wait until ``det`` has published the LUT of everything up to ``part``."""
+    deadline = time.monotonic() + 10
+    while det.lut.generated_at != part.t[-1] and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def _events(g, t0, xs, ys):
+    return EventStream.from_arrays(g, np.arange(t0, t0 + len(xs)), xs, ys, np.ones(len(xs)))
+
+
+@pytest.mark.parametrize("mode", ["alternating", "dual_thread"])
+def test_failed_generation_leaves_its_tiles_pending(mode, monkeypatch):
+    # the failing chunk dirties only the top-left tiles and the next one
+    # only the bottom-right: the LUT is exact again only if the failed
+    # generation's tiles stayed pending
+    g = SensorGeometry(128, 128)
+    rng = np.random.default_rng(47)
+    first = _events(g, 1, rng.integers(0, 128, 800), rng.integers(0, 128, 800))
+    failing = _events(g, 1000, rng.integers(0, 24, 300), rng.integers(0, 24, 300))
+    after = _events(g, 2000, rng.integers(104, 128, 300), rng.integers(104, 128, 300))
+    real, calls = luvharris.regenerate_lut, []
+
+    def fail_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(luvharris, "regenerate_lut", fail_second)
+    with LuvHarrisDetector(g, LuvHarrisConfig(mode=mode, threshold_tr=1e9)) as det:
+        det.process(first)
+        _settle(det, first)
+        if mode == "alternating":
+            with pytest.raises(RuntimeError, match="injected"):
+                det.process(failing)
+        else:
+            det.process(failing)
+            det._worker.join(timeout=10)
+            assert not det._worker.is_alive()
+            with pytest.raises(RuntimeError, match="injected"):
+                det.process(after)  # raised before the chunk is taken
+        det.process(after)
+        _settle(det, after)
+        assert np.array_equal(lut_scores(det.lut), harris_response_map(det.tos.grid))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(thread name, y0, x0) of every rectangle the Harris kernel evaluates."""
+    calls, call = [], _RectResponse.__call__
+
+    def recorded(self, img, y0, y1, x0, x1):
+        calls.append((threading.current_thread().name, y0, x0))
+        return call(self, img, y0, y1, x0, x1)
+
+    monkeypatch.setattr(_RectResponse, "__call__", recorded)
+    return calls
+
+
+def test_dual_thread_split_generations_equal_full_map_of_naive_tos(kernel_calls, monkeypatch):
+    # each chunk dirties more than two strips' worth of a 640x480 frame,
+    # so every generation splits; the banded chunk leaves the middle
+    # columns clean, so each 64-row strip is two rectangles, one per thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    g = SensorGeometry(640, 480)
+    cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
+    rng = np.random.default_rng(53)
+    n = 1500
+    band = rng.integers(0, 400, n)
+    chunks = [_events(g, 1 + i * n, rng.integers(0, 640, n), rng.integers(0, 480, n))
+              for i in range(3)]
+    chunks.append(_events(g, 1 + 3 * n, np.where(band < 200, band, band + 240),
+                          rng.integers(0, 480, n)))
+    ref = WindowedTos(640, 480, cfg.k_tos, cfg.effective_t_tos())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the three threads finely
+    try:
+        with LuvHarrisDetector(g, cfg) as det:
+            for i, part in enumerate(chunks):
+                kernel_calls.clear()
+                det.process(part)
+                for x, y in zip(part.x.tolist(), part.y.tolist()):
+                    ref.apply(x, y)
+                _settle(det, part)
+                generated = list(kernel_calls)  # before the map below adds its own
+                assert det.lut.generation_index == i + 1
+                assert det.lut.pixels_regenerated >= 2 * STRIP_PIXELS
+                assert np.array_equal(lut_scores(det.lut),
+                                      harris_response_map(ref.grid, cfg.harris))
+    finally:
+        sys.setswitchinterval(interval)
+    first_strip = {(name, x0) for name, y0, x0 in generated if y0 == 0}
+    assert first_strip == {(WORKER_NAME, 0), (HELPER_NAME, 13 * TILE)}
+
+
+@pytest.mark.parametrize("case", ["240x180 full frame", "1280x720 sparse", "one CPU"])
+def test_generations_predicted_serial_stay_on_the_calling_thread(case, kernel_calls, monkeypatch):
+    (w, h), cpus = {"240x180 full frame": ((240, 180), {0, 1}),
+                    "1280x720 sparse": ((1280, 720), {0, 1}),
+                    "one CPU": ((640, 480), {0})}[case]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    tos = np.random.default_rng(59).integers(0, 256, (h, w))
+    dirty = np.ones(tile_grid((h, w)), dtype=bool)
+    if case == "1280x720 sparse":  # eight corners' worth of tiles, as live_hd_sparse
+        dirty = dirty_tiles(np.arange(100, 1280, 150), np.arange(40, 720, 85), (h, w), 8)
+    lut = regenerate_lut(tos, HarrisParams(), 1, HarrisLut.blank((h, w)), dirty, 12)
+    assert 0 < lut.pixels_regenerated and len(kernel_calls) >= 2
+    assert {name for name, _, _ in kernel_calls} == {threading.current_thread().name}
+
+
+@pytest.mark.parametrize("half", ["caller", "helper"])
+def test_split_generation_joins_its_helper_and_raises_either_failure(half, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    failing = HELPER_NAME if half == "helper" else threading.current_thread().name
+    call = _RectResponse.__call__
+
+    def fail_on_one_thread(self, img, *rect):
+        if threading.current_thread().name == failing:
+            raise RuntimeError(half)
+        return call(self, img, *rect)
+
+    monkeypatch.setattr(_RectResponse, "__call__", fail_on_one_thread)
+    shape = (480, 640)
+    with pytest.raises(RuntimeError, match=half):
+        regenerate_lut(np.zeros(shape), HarrisParams(), 1, HarrisLut.blank(shape),
+                       np.ones(tile_grid(shape), dtype=bool), 12)
+    assert not [t for t in threading.enumerate() if t.name == HELPER_NAME]
