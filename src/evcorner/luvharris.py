@@ -9,12 +9,16 @@ consistent TOS snapshot. A score depends on the TOS only within the Harris
 reach of its pixel, and an event changes the TOS only within ``k_tos`` of
 its own, so phase 2 recomputes just the tiles (``harris.TILE`` square)
 within ``k_tos + reach`` of the events since the last generation; the
-result equals the full-frame map bit for bit. A LUT keeps its scores as
-the frame's row strips (``harris.strip_rows``: 32 rows at 1280 wide). A
-generation copies each strip its tiles fall in and writes them into the
-copy (a strip they cover whole is built fresh), and shares every other
-strip with the previous LUT, so its cost follows the dirty area and no
-published LUT is ever written to. A generation of at least
+result equals the full-frame map bit for bit. Where the pixel box of those
+events +- that radius is at most ``BOX_SIDE`` (2x2 tiles) a side, as for
+a few moving corners, phase 2 recomputes just that box as one small-form
+rectangle, and each chunk marks its tiles by one slice over its own box
+instead of per event. A LUT keeps its scores as the frame's row strips
+(``harris.strip_rows``: 32 rows at 1280 wide). A generation copies each
+strip its tiles or box fall in and writes them into the copy (a strip
+they cover whole is built fresh), and shares every other strip with the
+previous LUT, so its cost follows the dirty area and no published LUT is
+ever written to. A generation of at least
 ``2 * harris.STRIP_PIXELS`` pixels (640x480, not 240x180) runs on two
 threads where the process may use two CPUs: a helper evaluates every other
 rectangle, and the LUT is frozen and published after both halves finish.
@@ -48,13 +52,26 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .events import EventStream, SensorGeometry, Tags
-from .harris import (STRIP_PIXELS, HarrisParams, dirty_rects, dirty_tiles, response_rects,
-                     strip_rows, tile_grid)
+from .harris import (SMALL_RECT_TILES, STRIP_PIXELS, TILE, HarrisParams, dirty_rects,
+                     dirty_tiles, response_rects, strip_rows, tile_grid)
 from .stats import PipelineStats
 from .surfaces import TosSurface, tos_default_threshold
 
 WORKER_NAME = "evcorner-lut-worker"  # the dual_thread regeneration thread
 HELPER_NAME = "evcorner-lut-helper"  # evaluates half of a large generation
+# a pending pixel box at most this many pixels a side is one small-form rectangle
+BOX_SIDE = SMALL_RECT_TILES * TILE
+
+
+def _fits(box) -> bool:
+    return box is not None and max(box[1] - box[0], box[3] - box[2]) <= BOX_SIDE
+
+
+def _union(a, b):
+    """The smallest ``(y0, y1, x0, x1)`` box holding boxes ``a`` and ``b`` (None is empty)."""
+    if a is None or b is None:
+        return a or b
+    return min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3])
 
 
 @dataclass(frozen=True)
@@ -86,10 +103,10 @@ class HarrisLut:
 
     The scores are kept as ``strips``, the frame's row strips
     (``harris.strip_rows``), each read-only. Each generation recomputes
-    only the dirty tiles, writing them into new arrays for the strips they
-    fall in, and shares every other strip with the previous generation,
-    unchanged and still exact. A LUT is never written to once built, and
-    ``at`` is its one read.
+    only the dirty tiles or box, writing them into new arrays for the
+    strips they fall in, and shares every other strip with the previous
+    generation, unchanged and still exact. A LUT is never written to once
+    built, and ``at`` is its one read.
     """
 
     def __init__(self, strips: tuple, generated_at: int, generation_index: int,
@@ -134,15 +151,18 @@ def regenerate_lut(
     previous: HarrisLut,
     dirty: np.ndarray,
     t_tos: int,
+    box: tuple | None = None,
 ) -> HarrisLut:
     """The LUT after ``previous``, from a consistent TOS snapshot.
 
     ``surface`` is the raw TOS, whose cells below ``t_tos`` read as 0 (a
     snapped grid with ``t_tos`` 0 works too). The tiles marked in
-    ``dirty`` (see ``harris.dirty_tiles``) are recomputed.
-    A strip they cover whole is a new array; one they cover in part is a
-    copy of the previous strip with them written in; every other strip is
-    the previous one. So the previous LUT is never written to and
+    ``dirty`` (see ``harris.dirty_tiles``) are recomputed; or, when
+    ``box``, a ``(y0, y1, x0, x1)`` pixel box holding every changed score,
+    is at most ``BOX_SIDE`` a side, only that box, as one rectangle written
+    into each strip it crosses. A strip they cover whole is a new array;
+    one they cover in part is a copy of the previous strip with them
+    written in; every other strip is the previous one. So the previous LUT is never written to and
     publication stays an atomic swap. The first LUT follows
     ``HarrisLut.blank``, the exact map of the all-zero TOS. A large
     generation is split with a helper thread (see the module docstring),
@@ -151,10 +171,12 @@ def regenerate_lut(
     shape = np.shape(surface)
     rows = strip_rows(shape)
     strips = list(previous.strips)
-    rects = dirty_rects(shape, dirty)
+    rects = [box] if _fits(box) else dirty_rects(shape, dirty)
     area = {}  # pixels written per strip
     for y0, y1, x0, x1 in rects:
-        area[y0 // rows] = area.get(y0 // rows, 0) + (y1 - y0) * (x1 - x0)
+        for k in range(y0 // rows, (y1 - 1) // rows + 1):  # a box may cross strips
+            a, b = max(y0, k * rows), min(y1, (k + 1) * rows)
+            area[k] = area.get(k, 0) + (b - a) * (x1 - x0)
     for k, written in area.items():
         height = min(rows, shape[0] - k * rows)
         whole = written == height * shape[1]
@@ -162,8 +184,9 @@ def regenerate_lut(
 
     def fill(part):
         for (y0, y1, x0, x1), values in response_rects(surface, params, part, t_tos):
-            k = y0 // rows
-            strips[k][y0 - k * rows : y1 - k * rows, x0:x1] = values
+            for k in range(y0 // rows, (y1 - 1) // rows + 1):
+                a, b = max(y0, k * rows), min(y1, (k + 1) * rows)
+                strips[k][a - k * rows : b - k * rows, x0:x1] = values[a - y0 : b - y0]
 
     pixels = sum(area.values())
     if (pixels >= 2 * STRIP_PIXELS and hasattr(os, "sched_getaffinity")  # not on every OS
@@ -195,11 +218,15 @@ class LuvHarrisDetector:
     """The luvHarris pipeline behind a streaming ``process`` interface;
     every call treats its events as pending input.
 
-    ``process`` computes the chunk's dirty tiles, then, under one lock,
-    updates the TOS with the chunk and ORs the tiles into the pending mask,
-    so a snapshot always lands between whole chunks. It then tags the chunk
-    by one read of ``self.lut``. Phase 2, ``_regenerate``, takes the
-    pending mask under the lock, regenerates the LUT and publishes it by
+    ``process`` computes the chunk's pixel box (its events +-
+    ``dirty_radius``) and, only where that box is over ``BOX_SIDE`` a side,
+    its dirty tiles. Under one lock it then updates the TOS with the chunk,
+    marks the tiles pending (a box's whole tile cover, one slice) and
+    widens the pending box to hold the chunk's, so a snapshot always lands
+    between whole chunks. It then tags the chunk by one read of
+    ``self.lut``. Phase 2, ``_regenerate``, takes the pending mask and box
+    under the lock, regenerates the LUT (the box alone while it stays
+    within ``BOX_SIDE`` a side, else the tiles) and publishes it by
     rebinding ``self.lut``.
 
     ``alternating``: ``process`` ends with one regeneration on the
@@ -211,7 +238,8 @@ class LuvHarrisDetector:
     regenerates outside the lock. ``close`` lets it regenerate what is
     pending first. A worker failure is re-raised once, by the next
     ``process`` or ``close``; the ``process`` after that starts a new
-    worker. In either mode a failed generation leaves its tiles pending.
+    worker, and a ``close`` first regenerates on the calling thread. In
+    either mode a failed generation leaves its tiles and box pending.
     """
 
     decision_direction = "greater"
@@ -228,6 +256,7 @@ class LuvHarrisDetector:
         # phase 1 and phase 2 share these under _wake's lock
         self._wake = threading.Condition()
         self._dirty = np.zeros(tile_grid(self.tos.raw.shape), dtype=bool)
+        self._box = None  # pixel box of the pending chunks' events +- dirty_radius
         self._latest_t = 0
         self._stopping = False
         self._worker: threading.Thread | None = None
@@ -243,15 +272,20 @@ class LuvHarrisDetector:
 
     def close(self) -> None:
         """Stop and join the worker after it regenerates what is pending;
-        re-raise its failure if that was not delivered yet. A later
+        if it failed and that was not delivered yet, regenerate what it
+        left pending on this thread, then re-raise its failure. A later
         ``process`` starts a new worker."""
-        if self._worker is not None:
-            with self._wake:
-                self._stopping = True
-                self._wake.notify()
-            self._worker.join()
-            self._worker, self._stopping = None, False
-        self._reraise()
+        try:
+            if self._worker is not None:
+                with self._wake:
+                    self._stopping = True
+                    self._wake.notify()
+                self._worker.join()
+                self._worker, self._stopping = None, False
+                if self._error is not None:  # it died leaving a generation pending
+                    self._regenerate(copy_tos=False)
+        finally:
+            self._reraise()
 
     def process(self, chunk: EventStream) -> Tags:
         """Phase 1 on ``chunk``: update the TOS, mark its tiles pending and
@@ -265,11 +299,19 @@ class LuvHarrisDetector:
                                             daemon=True)
             self._worker.start()
         t0 = time.perf_counter()
-        dirty = dirty_tiles(chunk.x, chunk.y, self.tos.raw.shape, self.config.dirty_radius())
+        (h, w), r = self.tos.raw.shape, self.config.dirty_radius()
+        box = (max(int(chunk.y.min()) - r, 0), min(int(chunk.y.max()) + r + 1, h),
+               max(int(chunk.x.min()) - r, 0), min(int(chunk.x.max()) + r + 1, w))
+        dirty = None if _fits(box) else dirty_tiles(chunk.x, chunk.y, (h, w), r)
         with self._wake:
             self.tos.update_many(chunk.x, chunk.y)
             self._latest_t = int(chunk.t[-1])
-            self._dirty |= dirty
+            if dirty is None:  # the box's tile cover, a superset of dirty_tiles
+                self._dirty[box[0] // TILE : -(-box[1] // TILE),
+                            box[2] // TILE : -(-box[3] // TILE)] = True
+            else:
+                self._dirty |= dirty
+            self._box = _union(self._box, box)
             self._wake.notify()
         lut = self.lut  # one generation for the whole chunk, swapped atomically
         score = lut.at(chunk.y, chunk.x)
@@ -292,15 +334,17 @@ class LuvHarrisDetector:
         with self._wake:
             raw = self.tos.raw.copy() if copy_tos else self.tos.raw
             dirty, self._dirty = self._dirty, np.zeros_like(self._dirty)
+            box, self._box = self._box, None
             latest = self._latest_t
         t0 = time.perf_counter()
         try:
             # through the module global, so tracing it sees the worker too
             self.lut = regenerate_lut(raw, self.config.harris, latest, self.lut,
-                                      dirty, self.tos.t_tos)
+                                      dirty, self.tos.t_tos, box)
         except BaseException:
-            with self._wake:  # a failed generation leaves its tiles pending
+            with self._wake:  # a failed generation leaves its tiles and box pending
                 self._dirty |= dirty
+                self._box = _union(self._box, box)
             raise
         self.stats.record_generation(self.lut.pixels_regenerated, time.perf_counter() - t0)
 
@@ -308,9 +352,9 @@ class LuvHarrisDetector:
         try:
             while True:
                 with self._wake:
-                    while not (self._dirty.any() or self._stopping):
+                    while self._box is None and not self._stopping:
                         self._wake.wait()
-                    if not self._dirty.any():
+                    if self._box is None:
                         return
                 self._regenerate(copy_tos=True)
         except Exception as e:

@@ -432,7 +432,8 @@ def test_dual_thread_dirty_tile_luts_equal_full_map_of_naive_tos():
 
 def test_both_modes_start_clear_and_end_on_the_exact_map():
     # the cold-start LUT is already the exact map of the all-zero TOS, so a
-    # dual_thread detector regenerates only the tiles its first chunk dirties
+    # dual_thread detector regenerates only the pixel box its first chunk
+    # can change: the events +- dirty_radius, clipped to the frame
     g = SensorGeometry(100, 70)
     cfg = LuvHarrisConfig(threshold_tr=1e9)
     rng = np.random.default_rng(31)
@@ -441,8 +442,9 @@ def test_both_modes_start_clear_and_end_on_the_exact_map():
                                     rng.integers(55, 70, n), np.ones(n))
     with LuvHarrisDetector(g, replace(cfg, mode="dual_thread")) as det:
         det.process(first)
-    dirty = dirty_tiles(first.x, first.y, (70, 100), cfg.dirty_radius())
-    area = int(np.kron(dirty, np.ones((TILE, TILE), dtype=int))[:70, :100].sum())
+    r = cfg.dirty_radius()
+    area = ((min(int(first.y.max()) + r + 1, 70) - max(int(first.y.min()) - r, 0))
+            * (min(int(first.x.max()) + r + 1, 100) - max(int(first.x.min()) - r, 0)))
     assert det.stats.pixels_regenerated == area < 100 * 70
     # fed the same chunks, both modes end on the full-frame map of the naive TOS
     stream = random_stream(g, 300, seed=32)
@@ -513,6 +515,34 @@ def test_failed_generation_leaves_its_tiles_pending(mode, monkeypatch):
         det.process(after)
         _settle(det, after)
         assert np.array_equal(lut_scores(det.lut), harris_response_map(det.tos.grid))
+
+
+def test_close_regenerates_what_a_failed_worker_left_pending(monkeypatch):
+    # the worker dies on the second generation; close must still leave the
+    # LUT exact, regenerating on the calling thread, and then raise
+    g = SensorGeometry(128, 128)
+    rng = np.random.default_rng(61)
+    first = _events(g, 1, rng.integers(0, 128, 800), rng.integers(0, 128, 800))
+    failing = _events(g, 1000, rng.integers(0, 24, 300), rng.integers(0, 24, 300))
+    real, calls = luvharris.regenerate_lut, []
+
+    def fail_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(luvharris, "regenerate_lut", fail_second)
+    det = LuvHarrisDetector(g, LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9))
+    det.process(first)
+    _settle(det, first)
+    det.process(failing)
+    det._worker.join(timeout=10)
+    assert not det._worker.is_alive()
+    with pytest.raises(RuntimeError, match="injected"):
+        det.close()
+    assert np.array_equal(lut_scores(det.lut), harris_response_map(det.tos.grid))
+    det.close()  # the error was delivered once
 
 
 @pytest.fixture
@@ -596,3 +626,73 @@ def test_split_generation_joins_its_helper_and_raises_either_failure(half, monke
         regenerate_lut(np.zeros(shape), HarrisParams(), 1, HarrisLut.blank(shape),
                        np.ones(tile_grid(shape), dtype=bool), 12)
     assert not [t for t in threading.enumerate() if t.name == HELPER_NAME]
+
+
+def test_sparse_packets_regenerate_their_box_in_one_kernel_call(kernel_calls, monkeypatch):
+    # one 15-event L-corner step per 1 ms packet, as live_hd_sparse: each
+    # box (events +- dirty_radius, about 24 px a side) fits the small form,
+    # so it is one kernel call and no dirty_tiles; a chunk spread over the
+    # frame takes the tile path
+    marked, real = [], dirty_tiles
+    monkeypatch.setattr(luvharris, "dirty_tiles", lambda *a: marked.append(a) or real(*a))
+    g = SensorGeometry(1280, 720)
+    stream, _ = moving_corner_stream(g, start=(300, 20), n_steps=40)
+    det = LuvHarrisDetector(g, LuvHarrisConfig(threshold_tr=1e9))
+    for part in stream.chunks_by_time(1000):
+        kernel_calls.clear()
+        det.process(part)
+        assert len(part) == 15 and len(kernel_calls) == 1 and not marked
+        assert det.lut.pixels_regenerated <= luvharris.BOX_SIDE ** 2
+    spread = _events(g, int(stream.t[-1]) + 1, [10, 1270], [10, 690])
+    kernel_calls.clear()
+    det.process(spread)
+    assert len(marked) == 1 and len(kernel_calls) == 2
+    assert np.array_equal(lut_scores(det.lut), harris_response_map(det.tos.grid))
+
+
+def test_box_across_three_strips_equals_full_map(kernel_calls):
+    # 1280 wide is 32-row strips; events at rows 28-75 give the box rows
+    # 20-84, 64 rows from mid-strip 0 to mid-strip 2, regenerated as one
+    # rectangle written into all three strips
+    g = SensorGeometry(1280, 720)
+    cfg = LuvHarrisConfig(threshold_tr=1e9)
+    rng = np.random.default_rng(67)
+    det = LuvHarrisDetector(g, cfg)
+    det.process(_events(g, 1, rng.integers(0, 200, 2000), rng.integers(0, 150, 2000)))
+    ys = np.r_[28, 75, rng.integers(28, 76, 60)]
+    xs = np.r_[100, 147, rng.integers(100, 148, 60)]
+    prev = det.lut
+    kernel_calls.clear()
+    det.process(_events(g, 5000, xs, ys))
+    r = cfg.dirty_radius()
+    assert (28 - r, 76 + r) == (20, 84) and len(kernel_calls) == 1
+    assert det.lut.pixels_regenerated == 64 * 64
+    shared = [a is b for a, b in zip(det.lut.strips, prev.strips)]
+    assert shared == [k > 2 for k in range(len(shared))]
+    assert np.array_equal(lut_scores(det.lut), harris_response_map(det.tos.grid, cfg.harris))
+
+
+def test_dual_thread_backlog_boxes_end_on_the_exact_map():
+    # packets alternate between two corners at opposite ends of the frame
+    # and are fed without waiting: a backlog of one packet regenerates its
+    # box, one of both corners outgrows the small form and takes the
+    # tiles; a pending box lost between the threads leaves stale scores
+    g = SensorGeometry(1280, 720)
+    cfg = LuvHarrisConfig(mode="dual_thread", threshold_tr=1e9)
+    a, _ = moving_corner_stream(g, start=(20, 20), n_steps=60)
+    b, _ = moving_corner_stream(g, start=(1100, 600), n_steps=60)
+    det = LuvHarrisDetector(g, cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for i in range(0, len(a), 15):
+            part = _events(g, 1 + 2 * i, a.x[i : i + 15], a.y[i : i + 15])
+            det.process(part)
+            if i % 45 == 0:  # now and then the worker catches up
+                _settle(det, part)
+            det.process(_events(g, 16 + 2 * i, b.x[i : i + 15], b.y[i : i + 15]))
+    finally:
+        det.close()
+        sys.setswitchinterval(interval)
+    assert det.stats.lut_generations > 1
+    assert np.array_equal(lut_scores(det.lut), harris_response_map(det.tos.grid, cfg.harris))
