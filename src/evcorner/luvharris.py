@@ -162,11 +162,12 @@ def regenerate_lut(
     is at most ``BOX_SIDE`` a side, only that box, as one rectangle written
     into each strip it crosses. A strip they cover whole is a new array;
     one they cover in part is a copy of the previous strip with them
-    written in; every other strip is the previous one. So the previous LUT is never written to and
-    publication stays an atomic swap. The first LUT follows
-    ``HarrisLut.blank``, the exact map of the all-zero TOS. A large
-    generation is split with a helper thread (see the module docstring),
-    joined before this returns or raises; its failure is raised here.
+    written in; every other strip is the previous one. So the previous LUT
+    is never written to and publication stays an atomic swap. The first
+    LUT follows ``HarrisLut.blank``, the exact map of the all-zero TOS. A
+    large generation is split with a helper thread (see the module
+    docstring), joined before this returns or raises; its failure is
+    raised here.
     """
     shape = np.shape(surface)
     rows = strip_rows(shape)
